@@ -1,5 +1,7 @@
 #include "batchgcd/batch_journal.hpp"
 
+#include "rsa/keystore.hpp"
+
 namespace bulkgcd::batchgcd {
 
 namespace {
@@ -11,7 +13,8 @@ namespace {
 //   - remainder levels appear in decreasing level order starting at L−2
 //     (the descent walks top-down), each exactly once, and only after every
 //     product level;
-//   - the gcds record, if present, is last.
+//   - the gcds record, if present, is last, holds one value per modulus,
+//     and each value divides its modulus.
 // A record breaking these ends the parse like a torn write (RecordLog).
 
 constexpr char kMagic[8] = {'B', 'G', 'C', 'D', 'B', 'T', 'R', '1'};
@@ -37,7 +40,8 @@ bool get_values(core::Cursor& c, std::vector<mp::BigInt>& values) {
   return true;
 }
 
-bool parse_record(core::Cursor& c, BatchReplay& replay) {
+bool parse_record(core::Cursor& c, BatchReplay& replay,
+                  std::span<const mp::BigInt> moduli) {
   std::uint8_t kind = 0;
   if (!c.u8(kind) || replay.gcds) return false;
   const bool descending = replay.remainder.has_value();
@@ -61,15 +65,22 @@ bool parse_record(core::Cursor& c, BatchReplay& replay) {
     return true;
   }
   if (kind == kRecordGcds) {
-    if (!get_values(c, values)) return false;
+    // A gcd that does not divide its modulus is damage, never a result:
+    // the record ends the parse and the final level is recomputed.
+    if (!get_values(c, values) || values.size() != moduli.size()) return false;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (!mp::divides(values[i], moduli[i])) return false;
+    }
     replay.gcds = std::move(values);
     return true;
   }
   return false;  // unknown record kind
 }
 
-core::LogSchema batch_schema(std::uint64_t corpus_digest,
-                             std::uint64_t corpus_count, BatchReplay& replay) {
+core::LogSchema batch_schema(std::span<const mp::BigInt> moduli,
+                             BatchReplay& replay) {
+  const std::uint64_t corpus_digest = rsa::corpus_digest(moduli);
+  const std::uint64_t corpus_count = moduli.size();
   core::RecordWriter header({kMagic, sizeof(kMagic)});
   header.u64(corpus_digest);
   header.u64(corpus_count);
@@ -89,7 +100,9 @@ core::LogSchema batch_schema(std::uint64_t corpus_digest,
             return {};
           },
       .parse_record =
-          [&replay](core::Cursor& c) { return parse_record(c, replay); },
+          [&replay, moduli](core::Cursor& c) {
+            return parse_record(c, replay, moduli);
+          },
   };
 }
 
@@ -105,11 +118,11 @@ core::RecordWriter level_record(std::uint8_t kind, std::uint32_t level,
 }  // namespace
 
 BatchJournal::BatchJournal(std::filesystem::path path,
-                           std::uint64_t corpus_digest,
-                           std::uint64_t corpus_count, std::size_t fsync_every,
+                           std::span<const mp::BigInt> moduli,
+                           std::size_t fsync_every,
                            obs::HistogramMetric* fsync_hist)
-    : log_(std::move(path), batch_schema(corpus_digest, corpus_count, replay_),
-           fsync_every, fsync_hist) {
+    : log_(std::move(path), batch_schema(moduli, replay_), fsync_every,
+           fsync_hist) {
   replay_.good_offset = log_.good_offset();
 }
 

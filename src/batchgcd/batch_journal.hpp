@@ -63,9 +63,12 @@ class BatchJournal {
   /// std::runtime_error: resuming someone else's tree would deliver gcds
   /// against the wrong corpus. On a match, all complete records are parsed
   /// (take_replay()), the torn tail is truncated, and the file is positioned
-  /// for append. fsync_hist (optional) receives each flush+fsync latency.
-  BatchJournal(std::filesystem::path path, std::uint64_t corpus_digest,
-               std::uint64_t corpus_count, std::size_t fsync_every = 1,
+  /// for append. A gcds record with a value that does not divide its
+  /// modulus counts as damage and is cut with the tail. `moduli` is read
+  /// only while the constructor runs. fsync_hist (optional) receives each
+  /// flush+fsync latency.
+  BatchJournal(std::filesystem::path path, std::span<const mp::BigInt> moduli,
+               std::size_t fsync_every = 1,
                obs::HistogramMetric* fsync_hist = nullptr);
 
   BatchJournal(const BatchJournal&) = delete;

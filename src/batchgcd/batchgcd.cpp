@@ -11,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "rsa/keystore.hpp"
 
 namespace bulkgcd::batchgcd {
 
@@ -80,80 +79,55 @@ std::size_t tree_depth(std::size_t m) {
 
 }  // namespace
 
+std::vector<mp::BigInt> product_level(std::span<const mp::BigInt> children) {
+  std::vector<mp::BigInt> parents((children.size() + 1) / 2);
+  global_pool().parallel_for(0, parents.size(), [&](std::size_t lo,
+                                                    std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (2 * i + 1 < children.size()) {
+        parents[i] = children[2 * i] * children[2 * i + 1];
+      } else {
+        parents[i] = children[2 * i];  // odd element promoted unchanged
+      }
+    }
+  });
+  return parents;
+}
+
+std::vector<mp::BigInt> remainder_level(std::span<const mp::BigInt> parents,
+                                        std::span<const mp::BigInt> nodes) {
+  if (parents.size() != (nodes.size() + 1) / 2) {
+    throw std::invalid_argument("remainder level: parent/node shape mismatch");
+  }
+  std::vector<mp::BigInt> residues(nodes.size());
+  global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
+                                                  std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (i % 2 == 0 && i + 1 == nodes.size()) {
+        residues[i] = parents[i / 2];  // promoted node: already mod nodes[i]²
+      } else {
+        residues[i] = parents[i / 2] % (nodes[i] * nodes[i]);
+      }
+    }
+  });
+  return residues;
+}
+
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli) {
   if (moduli.empty()) throw std::invalid_argument("product tree: empty input");
   ProductTree tree;
   tree.emplace_back(moduli.begin(), moduli.end());
-  while (tree.back().size() > 1) {
-    const auto& prev = tree.back();
-    std::vector<mp::BigInt> next((prev.size() + 1) / 2);
-    global_pool().parallel_for(0, next.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (2 * i + 1 < prev.size()) {
-          next[i] = prev[2 * i] * prev[2 * i + 1];
-        } else {
-          next[i] = prev[2 * i];  // odd element promoted unchanged
-        }
-      }
-    });
-    tree.push_back(std::move(next));
-  }
+  while (tree.back().size() > 1) tree.push_back(product_level(tree.back()));
   return tree;
 }
 
-ProductTree square_product_tree(const ProductTree& tree) {
-  if (tree.empty()) throw std::invalid_argument("square tree: empty input");
-  // Root level omitted: the descent starts AT the root (root mod root² =
-  // root) and only ever reduces modulo the squares of the levels below it.
-  ProductTree squares(tree.size() - 1);
-  for (std::size_t level = 0; level + 1 < tree.size(); ++level) {
-    const auto& nodes = tree[level];
-    squares[level].resize(nodes.size());
-    global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
-                                                    std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (level > 0 && 2 * i + 1 >= tree[level - 1].size()) {
-          // Promoted odd node: same value as its single child, so its
-          // square is a copy of the child's — no repeated full-width
-          // multiplication as the value rides up the tree.
-          squares[level][i] = squares[level - 1][2 * i];
-        } else {
-          squares[level][i] = nodes[i] * nodes[i];
-        }
-      }
-    });
-  }
-  return squares;
-}
-
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree,
-                                                   const ProductTree& squares) {
-  if (squares.size() + 1 < tree.size()) {
-    throw std::invalid_argument("remainder tree: squares/tree shape mismatch");
-  }
-  // Walk from the root down; at each node reduce the parent's remainder
-  // modulo the node value squared (precomputed — each distinct node value
-  // was squared exactly once by square_product_tree).
+std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree) {
+  if (tree.empty()) throw std::invalid_argument("remainder tree: empty tree");
   std::vector<mp::BigInt> current(1, tree.back()[0]);  // root mod root² = root
   for (std::size_t level = tree.size() - 1; level-- > 0;) {
-    if (squares[level].size() != tree[level].size()) {
-      throw std::invalid_argument(
-          "remainder tree: squares/tree shape mismatch");
-    }
-    std::vector<mp::BigInt> next(tree[level].size());
-    global_pool().parallel_for(0, next.size(), [&](std::size_t lo,
-                                                   std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        next[i] = current[i / 2] % squares[level][i];
-      }
-    });
-    current = std::move(next);
+    current = remainder_level(current, tree[level]);
   }
   return current;
-}
-
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree) {
-  return remainder_tree_mod_squares(tree, square_product_tree(tree));
 }
 
 BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
@@ -174,9 +148,9 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   std::unique_ptr<BatchJournal> journal;
   BatchReplay replay;
   if (!config.checkpoint.empty()) {
-    journal = std::make_unique<BatchJournal>(
-        config.checkpoint, rsa::corpus_digest(moduli), moduli.size(),
-        config.fsync_every, t.fsync_seconds);
+    journal = std::make_unique<BatchJournal>(config.checkpoint, moduli,
+                                             config.fsync_every,
+                                             t.fsync_seconds);
     replay = journal->take_replay();
   }
 
@@ -199,10 +173,8 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   };
 
   // A journal holding the gcds record is a finished attack: replay it.
+  // (The journal only accepts one that holds a divisor of every modulus.)
   if (replay.gcds) {
-    if (replay.gcds->size() != moduli.size()) {
-      throw std::runtime_error("batch checkpoint: gcds record size mismatch");
-    }
     report.result.gcds = std::move(*replay.gcds);
     report.levels_restored = report.levels_total;
     report.resumed = true;
@@ -233,18 +205,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   while (tree.back().size() > 1) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.product_id);
-    const auto& prev = tree.back();
-    std::vector<mp::BigInt> next((prev.size() + 1) / 2);
-    global_pool().parallel_for(0, next.size(), [&](std::size_t lo,
-                                                   std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (2 * i + 1 < prev.size()) {
-          next[i] = prev[2 * i] * prev[2 * i + 1];
-        } else {
-          next[i] = prev[2 * i];  // odd element promoted unchanged
-        }
-      }
-    });
+    std::vector<mp::BigInt> next = product_level(tree.back());
     const std::uint32_t level = std::uint32_t(tree.size());
     tspan.set_args(level, next.size());
     if (t.product_nodes) t.product_nodes->add(next.size());
@@ -259,9 +220,11 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   // ---- remainder phase (down) ---------------------------------------------
   // Squares are computed on the fly per level: with per-level checkpoints
   // there is no separate square-tree phase to resume, and each node's square
-  // is needed exactly once on the way down anyway.
+  // is needed exactly once on the way down anyway. Each product level is
+  // released once the descent has used it, so the tree shrinks as the
+  // residues grow in number.
   std::vector<mp::BigInt> current;
-  std::size_t next_level = depth - 1;  // the level the next step reduces into
+  std::size_t next_level = depth - 1;  // the level `current` holds residues of
   if (replay.remainder) {
     auto& [restored_level, residues] = *replay.remainder;
     if (restored_level >= depth - 1 ||
@@ -280,19 +243,13 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   } else {
     current.assign(1, tree.back()[0]);  // root mod root² = root
   }
+  tree.resize(next_level);  // levels from next_level up are spent
 
   for (std::size_t level = next_level; level-- > 0;) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.remainder_id);
-    const auto& nodes = tree[level];
-    std::vector<mp::BigInt> next(nodes.size());
-    global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
-                                                    std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        next[i] = current[i / 2] % (nodes[i] * nodes[i]);
-      }
-    });
-    current = std::move(next);
+    current = remainder_level(current, tree[level]);
+    tree.pop_back();  // tree[level] is spent
     tspan.set_args(level, current.size());
     if (t.remainder_nodes) t.remainder_nodes->add(current.size());
     if (journal) journal->append_remainder_level(std::uint32_t(level), current);

@@ -38,24 +38,24 @@ namespace bulkgcd::batchgcd {
 /// pairwise products, top level a single root Π n_i.
 using ProductTree = std::vector<std::vector<mp::BigInt>>;
 
+/// One product-tree level up: parent i = children[2i] · children[2i+1], an
+/// odd last child promoted unchanged. The driver's step and the loop inside
+/// build_product_tree.
+std::vector<mp::BigInt> product_level(std::span<const mp::BigInt> children);
+
+/// One remainder-tree level down: residues[i] = parents[i/2] mod nodes[i]²,
+/// where parents[k] is the residue at the parent of nodes[2k] and
+/// nodes[2k+1]. A promoted odd last node has the same value as its parent,
+/// and a residue mod p² is already below p², so it takes its parent's
+/// residue as is. Throws std::invalid_argument unless parents.size() ==
+/// ceil(nodes.size() / 2).
+std::vector<mp::BigInt> remainder_level(std::span<const mp::BigInt> parents,
+                                        std::span<const mp::BigInt> nodes);
+
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli);
 
-/// Square every node of `tree` once, level by level, for the remainder
-/// descent. Shape-parallel with `tree` except the root level is omitted
-/// (the descent never reduces modulo the root²). A node promoted unchanged
-/// from an odd-count level reuses its child's square — a copy, not another
-/// full-width multiplication — so each DISTINCT value in the tree is
-/// squared exactly once no matter how many levels it rides through.
-ProductTree square_product_tree(const ProductTree& tree);
-
-/// Descend the tree: value at each leaf i is root mod n_i². The two-argument
-/// form takes the output of square_product_tree (throws
-/// std::invalid_argument on a shape mismatch); the one-argument convenience
-/// builds it internally. Callers descending the same tree more than once
-/// should build the squares once and reuse them.
+/// Descend the tree: value at each leaf i is root mod n_i².
 std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree);
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree,
-                                                   const ProductTree& squares);
 
 struct BatchGcdResult {
   /// gcds[i] = gcd(n_i, Π_{k≠i} n_k): 1 when n_i shares no factor, the

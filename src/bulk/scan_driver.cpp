@@ -224,8 +224,11 @@ struct RestoredState {
   gcd::GcdStats scalar;
 };
 
-/// Parses one checkpoint record into `state`; false ends the parse.
-bool parse_record(core::Cursor& c, RestoredState& state) {
+/// Parses one checkpoint record into `state`; false ends the parse. A hit
+/// whose factor is not a shared factor of its two moduli is damage, never a
+/// result: the record ends the parse and its chunk is recomputed.
+bool parse_record(core::Cursor& c, RestoredState& state,
+                  std::span<const mp::BigInt> moduli) {
   std::uint8_t kind = 0;
   std::uint64_t chunk = 0;
   if (!c.u8(kind) || !c.u64(chunk) || chunk >= state.handled.size()) {
@@ -242,7 +245,9 @@ bool parse_record(core::Cursor& c, RestoredState& state) {
     }
     std::vector<FactorHit> hits(nhits);
     for (auto& hit : hits) {
-      if (!c.u64(hit.i) || !c.u64(hit.j) || !c.bigint_limbs(hit.factor)) {
+      if (!c.u64(hit.i) || !c.u64(hit.j) || !c.bigint_limbs(hit.factor) ||
+          hit.i >= moduli.size() || hit.j >= moduli.size() ||
+          !mp::is_shared_factor(hit.factor, moduli[hit.i], moduli[hit.j])) {
         return false;
       }
     }
@@ -379,7 +384,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
         .check_identity =
             [&](core::Cursor& c) { return identity.mismatch(c); },
         .parse_record =
-            [&](core::Cursor& c) { return parse_record(c, state); },
+            [&](core::Cursor& c) { return parse_record(c, state, moduli); },
     };
     journal.emplace(config.checkpoint, schema, config.fsync_every,
                     tele.fsync_seconds, dtr.rec,
@@ -410,10 +415,10 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   agg.hits = std::move(state.hits);
   // The journal doesn't persist full_modulus — it's derivable, and older
   // checkpoints predate the flag — so recompute it for restored hits.
+  // (parse_record already bounded every restored index by m).
   for (auto& hit : agg.hits) {
-    hit.full_modulus = hit.i < m && hit.j < m &&
-                       (hit.factor == moduli[hit.i] ||
-                        hit.factor == moduli[hit.j]);
+    hit.full_modulus =
+        hit.factor == moduli[hit.i] || hit.factor == moduli[hit.j];
   }
   report.quarantined = std::move(state.quarantined);
   report.chunks_done = state.chunks_committed;

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "mp/divrem_bz.hpp"
 #include "mp/toom3.hpp"
 
 namespace bulkgcd::mp {
@@ -175,8 +176,14 @@ std::pair<BigIntT<Limb>, BigIntT<Limb>> BigIntT<Limb>::divmod(const BigIntT& a,
   }
   q.limbs_.resize(a.size() - b.size() + 1);
   r.limbs_.resize(b.size());
-  const DivSizes sizes = divrem(q.limbs_.data(), r.limbs_.data(), a.limbs_.data(),
-                                a.size(), b.limbs_.data(), b.size());
+  // Burnikel–Ziegler only where its multiplies beat Knuth D's quadratic pass:
+  // batch-GCD remainder-tree sizes, not RSA-size or gcd-kernel divisions.
+  const bool bz = b.size() >= 2 * kBurnikelZieglerThreshold &&
+                  a.size() - b.size() >= kBurnikelZieglerThreshold;
+  const DivSizes sizes =
+      (bz ? divrem_bz<Limb> : divrem<Limb>)(q.limbs_.data(), r.limbs_.data(),
+                                            a.limbs_.data(), a.size(),
+                                            b.limbs_.data(), b.size());
   q.limbs_.resize(sizes.quotient);
   r.limbs_.resize(sizes.remainder);
   return {std::move(q), std::move(r)};

@@ -139,6 +139,20 @@ using BigInt = BigIntT<std::uint32_t>;
 using BigInt16 = BigIntT<std::uint16_t>;
 using BigInt64 = BigIntT<std::uint64_t>;
 
+/// True when d is nonzero and divides n.
+template <LimbType Limb>
+bool divides(const BigIntT<Limb>& d, const BigIntT<Limb>& n) {
+  return !d.is_zero() && (n % d).is_zero();
+}
+
+/// True when f > 1 divides both a and b: the check a shared-factor hit
+/// restored from a journal passes before it is trusted.
+template <LimbType Limb>
+bool is_shared_factor(const BigIntT<Limb>& f, const BigIntT<Limb>& a,
+                      const BigIntT<Limb>& b) {
+  return f.bit_length() >= 2 && divides(f, a) && divides(f, b);
+}
+
 extern template class BigIntT<std::uint16_t>;
 extern template class BigIntT<std::uint32_t>;
 extern template class BigIntT<std::uint64_t>;

@@ -122,6 +122,49 @@ constexpr std::size_t sub(Limb* dst, const Limb* a, std::size_t na,
   return normalized_size(dst, na);
 }
 
+/// a += b in place over a's na limbs (nb <= na). Returns the carry out of
+/// a[na - 1]; nothing is written past it.
+template <LimbType Limb>
+constexpr Limb add_in_place(Limb* a, std::size_t na, const Limb* b,
+                            std::size_t nb) noexcept {
+  using Wide = typename LimbTraits<Limb>::Wide;
+  assert(nb <= na);
+  Wide carry = 0;
+  std::size_t i = 0;
+  for (; i < nb; ++i) {
+    carry += Wide(a[i]) + b[i];
+    a[i] = Limb(carry);
+    carry >>= limb_bits<Limb>;
+  }
+  for (; i < na && carry != 0; ++i) {
+    carry += a[i];
+    a[i] = Limb(carry);
+    carry >>= limb_bits<Limb>;
+  }
+  return Limb(carry);
+}
+
+/// a -= b in place over a's na limbs (nb <= na), modulo β^na. Returns the
+/// borrow out of a[na - 1] (1 when b > a).
+template <LimbType Limb>
+constexpr Limb sub_in_place(Limb* a, std::size_t na, const Limb* b,
+                            std::size_t nb) noexcept {
+  using Wide = typename LimbTraits<Limb>::Wide;
+  assert(nb <= na);
+  Wide borrow = 0;
+  std::size_t i = 0;
+  for (; i < nb; ++i) {
+    const Wide diff = Wide(a[i]) - b[i] - borrow;
+    a[i] = Limb(diff);
+    borrow = (diff >> limb_bits<Limb>) & 1u;
+  }
+  for (; i < na && borrow != 0; ++i) {
+    borrow = a[i] == 0 ? 1u : 0u;
+    a[i] = Limb(a[i] - 1u);
+  }
+  return Limb(borrow);
+}
+
 /// dst = a * w (single-word multiplier). dst capacity na + 1; dst may alias a.
 /// Returns normalized result size.
 template <LimbType Limb>

@@ -14,8 +14,10 @@
 // are exact by construction and done with divrem_word.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "mp/karatsuba.hpp"
@@ -62,8 +64,9 @@ template <LimbType Limb>
 std::vector<Limb> eval_at(const Limb* p0, std::size_t n0, const Limb* p1,
                           std::size_t n1, const Limb* p2, std::size_t n2,
                           Limb t) {
-  std::vector<Limb> acc(p2, p2 + n2);
-  acc.resize(normalized_size(acc.data(), acc.size()));
+  std::vector<Limb> acc;
+  acc.reserve(std::max({n0, n1, n2}) + 3);  // every Horner step fits
+  acc.assign(p2, p2 + normalized_size(p2, n2));
   acc.resize(acc.size() + 1);
   acc.resize(mul_word(acc.data(), acc.data(), acc.size() - 1, t));
   add_into(acc, p1, n1);
@@ -88,13 +91,6 @@ void div_exact(std::vector<Limb>& value, Limb w) {
   (void)rem;
   assert(rem == 0 && "toom3 interpolation division must be exact");
   value.resize(normalized_size(value.data(), value.size()));
-}
-
-/// value = value * w in place.
-template <LimbType Limb>
-void mul_small(std::vector<Limb>& value, Limb w) {
-  value.resize(value.size() + 1);
-  value.resize(mul_word(value.data(), value.data(), value.size() - 1, w));
 }
 
 }  // namespace toom3_detail
@@ -125,24 +121,13 @@ std::vector<Limb> mul_toom3(const Limb* a, std::size_t na, const Limb* b,
   const auto [b2, nb2] = part(b, nb, 2);
 
   // Five pointwise products at t = 0, 1, 2, 3, ∞.
-  const std::vector<Limb> w0 = mul_dispatch(a0, na0, b0, nb0);
-  const std::vector<Limb> w4 = mul_dispatch(a2, na2, b2, nb2);
-  std::vector<Limb> w1, w2, w3;
-  {
-    const auto ea = eval_at(a0, na0, a1, na1, a2, na2, Limb{1});
-    const auto eb = eval_at(b0, nb0, b1, nb1, b2, nb2, Limb{1});
-    w1 = mul_dispatch(ea.data(), ea.size(), eb.data(), eb.size());
-  }
-  {
-    const auto ea = eval_at(a0, na0, a1, na1, a2, na2, Limb{2});
-    const auto eb = eval_at(b0, nb0, b1, nb1, b2, nb2, Limb{2});
-    w2 = mul_dispatch(ea.data(), ea.size(), eb.data(), eb.size());
-  }
-  {
-    const auto ea = eval_at(a0, na0, a1, na1, a2, na2, Limb{3});
-    const auto eb = eval_at(b0, nb0, b1, nb1, b2, nb2, Limb{3});
-    w3 = mul_dispatch(ea.data(), ea.size(), eb.data(), eb.size());
-  }
+  const auto pointwise = [&](Limb t) {
+    const auto ea = eval_at(a0, na0, a1, na1, a2, na2, t);
+    const auto eb = eval_at(b0, nb0, b1, nb1, b2, nb2, t);
+    return mul_dispatch(ea.data(), ea.size(), eb.data(), eb.size());
+  };
+  std::vector<Limb> w0 = mul_dispatch(a0, na0, b0, nb0);
+  std::vector<Limb> w4 = mul_dispatch(a2, na2, b2, nb2);
 
   // Interpolation. With c(x) = c4·x⁴ + … + c0 (every cᵢ ≥ 0):
   //   c0 = w0,  c4 = w4
@@ -152,69 +137,61 @@ std::vector<Limb> mul_toom3(const Limb* a, std::size_t na, const Limb* b,
   //   u  = t2 − 2t1 = 2(c2 + 3c3)      v = t3 − 3t1 = 6(c2 + 4c3)
   //   c3 = v/6 − u/2   c2 = u/2 − 3c3   c1 = t1 − c2 − c3
   // Every subtrahend is bounded by its minuend term-by-term, so the
-  // unsigned sub() precondition holds throughout.
-  std::vector<Limb> t1 = w1;
+  // unsigned sub() precondition holds throughout. Each pointwise product is
+  // folded into its intermediate as soon as it exists, and each
+  // intermediate is moved into the next rather than copied, so at most
+  // w0, w4, t1, u and v are alive at once. The small multiples share one
+  // scratch buffer, reserved for the widest of them (all are < 2h + 3 limbs).
+  std::vector<Limb> scratch;
+  scratch.reserve(2 * h + 4);
+  const auto sub_multiple = [&scratch](std::vector<Limb>& value,
+                                       const std::vector<Limb>& x, Limb w) {
+    scratch.resize(x.size() + 1);
+    scratch.resize(mul_word(scratch.data(), x.data(), x.size(), w));
+    sub_from(value, scratch);
+  };
+  std::vector<Limb> t1 = pointwise(Limb{1});
   sub_from(t1, w0);
   sub_from(t1, w4);
-
-  std::vector<Limb> t2 = w2;
-  sub_from(t2, w0);
-  {
-    std::vector<Limb> c4_16 = w4;
-    mul_small(c4_16, Limb{16});
-    sub_from(t2, c4_16);
-  }
-  std::vector<Limb> t3 = w3;
-  sub_from(t3, w0);
-  {
-    std::vector<Limb> c4_81 = w4;
-    mul_small(c4_81, Limb{81});
-    sub_from(t3, c4_81);
-  }
-
-  std::vector<Limb> u = t2;  // u = t2 − 2t1
-  {
-    std::vector<Limb> t1_2 = t1;
-    mul_small(t1_2, Limb{2});
-    sub_from(u, t1_2);
-  }
-  std::vector<Limb> v = t3;  // v = t3 − 3t1
-  {
-    std::vector<Limb> t1_3 = t1;
-    mul_small(t1_3, Limb{3});
-    sub_from(v, t1_3);
-  }
+  std::vector<Limb> u = pointwise(Limb{2});  // t2, then u = t2 − 2t1
+  sub_from(u, w0);
+  sub_multiple(u, w4, Limb{16});
+  sub_multiple(u, t1, Limb{2});
+  std::vector<Limb> v = pointwise(Limb{3});  // t3, then v = t3 − 3t1
+  sub_from(v, w0);
+  sub_multiple(v, w4, Limb{81});
+  sub_multiple(v, t1, Limb{3});
 
   div_exact(v, Limb{6});  // v = c2 + 4c3
   div_exact(u, Limb{2});  // u = c2 + 3c3
-  std::vector<Limb> c3 = v;
-  sub_from(c3, u);  // c3
-  std::vector<Limb> c2 = u;
-  {
-    std::vector<Limb> c3_3 = c3;
-    mul_small(c3_3, Limb{3});
-    sub_from(c2, c3_3);
-  }
-  std::vector<Limb> c1 = t1;
+  std::vector<Limb> c3 = std::move(v);
+  sub_from(c3, u);
+  std::vector<Limb> c2 = std::move(u);
+  sub_multiple(c2, c3, Limb{3});
+  std::vector<Limb> c1 = std::move(t1);
   sub_from(c1, c2);
   sub_from(c1, c3);
 
   // result = Σ cᵢ · B^{i·h}. Adjacent coefficients overlap (each cᵢ spans up
-  // to 2h+1 limbs) so accumulate with carry-propagating adds at offsets.
+  // to 2h+1 limbs), so each is added in place at its offset and released.
+  // Every partial sum is at most the full product, so no carry leaves out
+  // and no normalized coefficient reaches past its end.
   std::vector<Limb> out(na + nb, Limb{0});
-  const auto add_at = [&out](std::size_t offset, const std::vector<Limb>& c) {
-    if (c.empty() || out.size() <= offset) return;
-    const std::size_t tail = out.size() - offset;
-    std::vector<Limb> tmp(tail + 1, Limb{0});
-    (void)add(tmp.data(), out.data() + offset, tail, c.data(),
-              std::min(c.size(), tail));
-    std::copy_n(tmp.begin(), tail, out.begin() + std::ptrdiff_t(offset));
+  const auto add_at = [&out](std::size_t offset, std::vector<Limb>& c) {
+    if (!c.empty()) {
+      assert(offset + c.size() <= out.size());
+      const Limb carry = add_in_place(out.data() + offset, out.size() - offset,
+                                      c.data(), c.size());
+      (void)carry;
+      assert(carry == 0);
+    }
+    std::vector<Limb>().swap(c);
   };
   add_at(0, w0);
+  add_at(4 * h, w4);
   add_at(h, c1);
   add_at(2 * h, c2);
   add_at(3 * h, c3);
-  add_at(4 * h, w4);
   out.resize(normalized_size(out.data(), out.size()));
   return out;
 }

@@ -3,6 +3,9 @@
 #include <string>
 #include <utility>
 
+#include "rsa/keystore.hpp"
+#include "svc/intake_parser.hpp"
+
 namespace bulkgcd::svc {
 
 namespace {
@@ -15,7 +18,9 @@ namespace {
 //     lock), so it always targets the newest arrival;
 //   - probed(seq) appears after arrival(seq) — the worker only sees a key
 //     after the gate journaled it;
-//   - an arrival value is odd and at least 3.
+//   - an arrival value is odd and at least 3;
+//   - a probed hit names an earlier corpus member (seed or arrival) and a
+//     factor > 1 of both it and the probed key.
 // A record breaking these ends the parse like a torn write (RecordLog).
 
 constexpr char kMagic[8] = {'B', 'G', 'C', 'D', 'A', 'R', 'J', '1'};
@@ -24,17 +29,18 @@ constexpr std::uint8_t kRecordProbed = 2;
 constexpr std::uint8_t kRecordRetract = 3;
 constexpr std::size_t kMinHitSize = 8 + 4;  // index + empty factor
 
-bool parse_record(core::Cursor& c, std::vector<ReplayedArrival>& arrivals) {
+bool parse_record(core::Cursor& c, std::vector<ReplayedArrival>& arrivals,
+                  std::span<const mp::BigInt> seed) {
   std::uint8_t kind = 0;
   std::uint64_t seq = 0;
   if (!c.u8(kind) || !c.u64(seq)) return false;
   if (kind == kRecordArrival) {
-    // The gate only ever journals what the probe engines take — odd values
-    // of at least 3, as IntakeParser screens them — so anything else is a
-    // damaged record, never a key to probe.
+    // The gate only ever journals what the probe engines take — values
+    // that pass modulus_screen_error — so anything else is a damaged
+    // record, never a key to probe.
     ReplayedArrival arrival;
     if (seq != arrivals.size() || !c.bigint_bytes(arrival.value) ||
-        arrival.value.bit_length() < 2 || !arrival.value.is_odd()) {
+        !modulus_screen_error(arrival.value).empty()) {
       return false;
     }
     arrivals.push_back(std::move(arrival));
@@ -47,8 +53,15 @@ bool parse_record(core::Cursor& c, std::vector<ReplayedArrival>& arrivals) {
       return false;
     }
     std::vector<std::pair<std::uint64_t, mp::BigInt>> hits(nhits);
+    const mp::BigInt& key = arrivals[seq].value;
     for (auto& [i, factor] : hits) {
-      if (!c.u64(i) || !c.bigint_bytes(factor)) return false;
+      if (!c.u64(i) || !c.bigint_bytes(factor) ||
+          i >= seed.size() + seq) {
+        return false;
+      }
+      const mp::BigInt& other =
+          i < seed.size() ? seed[i] : arrivals[i - seed.size()].value;
+      if (!mp::is_shared_factor(factor, other, key)) return false;
     }
     arrivals[seq].probed = true;
     arrivals[seq].hits = std::move(hits);
@@ -67,9 +80,10 @@ bool parse_record(core::Cursor& c, std::vector<ReplayedArrival>& arrivals) {
   return false;  // unknown record kind
 }
 
-core::LogSchema arrival_schema(std::uint64_t seed_digest,
-                               std::uint64_t seed_count,
+core::LogSchema arrival_schema(std::span<const mp::BigInt> seed,
                                ArrivalReplay& replay) {
+  const std::uint64_t seed_digest = rsa::corpus_digest(seed);
+  const std::uint64_t seed_count = seed.size();
   core::RecordWriter header({kMagic, sizeof(kMagic)});
   header.u64(seed_digest);
   header.u64(seed_count);
@@ -90,8 +104,8 @@ core::LogSchema arrival_schema(std::uint64_t seed_digest,
             return {};
           },
       .parse_record =
-          [&replay](core::Cursor& c) {
-            return parse_record(c, replay.arrivals);
+          [&replay, seed](core::Cursor& c) {
+            return parse_record(c, replay.arrivals, seed);
           },
   };
 }
@@ -99,11 +113,9 @@ core::LogSchema arrival_schema(std::uint64_t seed_digest,
 }  // namespace
 
 ArrivalJournal::ArrivalJournal(std::filesystem::path path,
-                               std::uint64_t seed_digest,
-                               std::uint64_t seed_count,
+                               std::span<const mp::BigInt> seed,
                                std::size_t fsync_every)
-    : log_(std::move(path), arrival_schema(seed_digest, seed_count, replay_),
-           fsync_every) {
+    : log_(std::move(path), arrival_schema(seed, replay_), fsync_every) {
   replay_.good_offset = log_.good_offset();
   // The worker probes strictly in arrival order, so probed records form a
   // seq prefix. Enforce it: past the first unprobed arrival everything is

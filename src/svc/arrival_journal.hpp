@@ -64,9 +64,11 @@ class ArrivalJournal {
   /// std::runtime_error: replaying someone else's arrivals into this corpus
   /// would silently mis-index every hit. On a match, all complete records
   /// are parsed (take_replay()), the torn tail is truncated, and the file is
-  /// positioned for append.
-  ArrivalJournal(std::filesystem::path path, std::uint64_t seed_digest,
-                 std::uint64_t seed_count, std::size_t fsync_every = 1);
+  /// positioned for append. A probed hit whose factor is not a factor > 1 of
+  /// both its moduli counts as damage: the tail is cut there and those keys
+  /// are probed again. `seed` is read only while the constructor runs.
+  ArrivalJournal(std::filesystem::path path, std::span<const mp::BigInt> seed,
+                 std::size_t fsync_every = 1);
 
   ArrivalJournal(const ArrivalJournal&) = delete;
   ArrivalJournal& operator=(const ArrivalJournal&) = delete;

@@ -126,16 +126,18 @@ void IntakeParser::consume_line(std::string_view raw) {
   }
 }
 
-void IntakeParser::accept(mp::BigInt n, RecordKind kind, std::size_t line) {
-  // Value-level screen shared by every record shape: the bulk engines
-  // require odd, nonzero inputs (an even "RSA modulus" is trivially broken
-  // anyway, and 0/1 would poison the scan corpus).
-  if (n.bit_length() < 2) {
-    reject(line, "rejected modulus: value below 2");
-    return;
+std::string_view modulus_screen_error(const mp::BigInt& n) noexcept {
+  if (n.bit_length() < 2) return "rejected modulus: value below 2";
+  if (!n.is_odd()) {
+    return "rejected modulus: even value is not a valid RSA modulus";
   }
-  if ((n.limbs()[0] & 1u) == 0) {
-    reject(line, "rejected modulus: even value is not a valid RSA modulus");
+  return {};
+}
+
+void IntakeParser::accept(mp::BigInt n, RecordKind kind, std::size_t line) {
+  // Value-level screen shared by every record shape.
+  if (const std::string_view error = modulus_screen_error(n); !error.empty()) {
+    reject(line, std::string(error));
     return;
   }
   IntakeRecord rec;

@@ -47,6 +47,13 @@ struct IntakeRecord {
   std::string error;          ///< reject reason, when !ok
 };
 
+/// The value screen every key passes before it reaches the probe engines,
+/// which require odd values of at least 3 (an even "RSA modulus" is
+/// trivially broken anyway, and 0/1 would poison the scan corpus). Returns
+/// why `n` fails, or an empty view when it passes. IntakeParser,
+/// IntakeService::submit and the arrival journal's replay all apply it.
+std::string_view modulus_screen_error(const mp::BigInt& n) noexcept;
+
 class IntakeParser {
  public:
   /// Append a chunk of the stream; complete records become drainable.

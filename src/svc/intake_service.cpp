@@ -1,11 +1,14 @@
 #include "svc/intake_service.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "rsa/keystore.hpp"
+#include "svc/intake_parser.hpp"
 
 namespace bulkgcd::svc {
 
@@ -123,8 +126,7 @@ std::uint64_t IntakeService::fingerprint(const mp::BigInt& n) const noexcept {
 /// starts, so no locks are needed.
 void IntakeService::replay_journal() {
   journal_ = std::make_unique<ArrivalJournal>(
-      config_.journal_path,
-      rsa::corpus_digest(std::span<const mp::BigInt>(corpus_)), seed_count_,
+      config_.journal_path, std::span<const mp::BigInt>(corpus_),
       config_.journal_fsync_every);
   ArrivalReplay replay = journal_->take_replay();
   for (std::size_t seq = 0; seq < replay.arrivals.size(); ++seq) {
@@ -155,6 +157,9 @@ void IntakeService::replay_journal() {
 }
 
 Admission IntakeService::submit(const mp::BigInt& n, std::uint64_t flow_id) {
+  if (const std::string_view error = modulus_screen_error(n); !error.empty()) {
+    throw std::invalid_argument(std::string(error));
+  }
   if (tele_) tele_->submitted->inc();
   {
     std::lock_guard stats_lock(stats_mutex_);

@@ -125,6 +125,9 @@ class IntakeService {
   /// Thread-safe, never blocks on the probe element. The returned verdict
   /// is final except for kShed, which a client may retry after backoff.
   /// kAdmitted with a journal configured means the key is on disk.
+  /// A value that fails modulus_screen_error (even, or below 3) throws
+  /// std::invalid_argument before any counter moves: it is a caller error,
+  /// not a submission.
   ///
   /// flow_id (optional) is a trace flow minted by the caller at parse time
   /// (obs::TraceRecorder::next_flow_id); when config.probe.trace is set and

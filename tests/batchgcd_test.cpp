@@ -80,61 +80,100 @@ TEST(RemainderTreeTest, LeavesAreRootModSquares) {
   }
 }
 
-TEST(SquareTreeTest, EveryNodeIsTheSquareOfItsTreeNode) {
+TEST(RemainderLevelTest, EveryLevelIsTheRootModItsNodeSquares) {
   Xoshiro256 rng(125);
   std::vector<BigInt> values;
   for (int i = 0; i < 13; ++i) {  // odd count: promoted nodes at two levels
     values.push_back(random_odd<std::uint32_t>(rng, 96));
   }
   const ProductTree tree = build_product_tree(values);
-  const ProductTree squares = square_product_tree(tree);
-  // Root level omitted — the descent never reduces modulo root².
-  ASSERT_EQ(squares.size(), tree.size() - 1);
-  for (std::size_t level = 0; level + 1 < tree.size(); ++level) {
-    ASSERT_EQ(squares[level].size(), tree[level].size()) << "level " << level;
-    for (std::size_t i = 0; i < tree[level].size(); ++i) {
-      EXPECT_EQ(squares[level][i], tree[level][i] * tree[level][i])
+  const BigInt& root = tree.back()[0];
+  std::vector<BigInt> residues(1, root);
+  for (std::size_t level = tree.size() - 1; level-- > 0;) {
+    residues = remainder_level(residues, tree[level]);
+    ASSERT_EQ(residues.size(), tree[level].size()) << "level " << level;
+    for (std::size_t i = 0; i < residues.size(); ++i) {
+      EXPECT_EQ(residues[i], root % (tree[level][i] * tree[level][i]))
           << "level " << level << " node " << i;
     }
   }
 }
 
-TEST(SquareTreeTest, PromotedChainReusesTheLeafSquare) {
-  // 5 leaves: leaf 4 is promoted unchanged through level 1 (5 → 3 nodes) and
-  // its level-1 copy pairs at level 2. The promoted node's square must equal
-  // the leaf's square — the reuse path, not a recomputation.
-  std::vector<BigInt> values;
-  for (int v : {3, 5, 7, 11, 13}) values.push_back(BigInt(unsigned(v)));
-  const ProductTree tree = build_product_tree(values);
-  ASSERT_EQ(tree[1].size(), 3u);
-  ASSERT_EQ(tree[1][2], values[4]);  // promoted unchanged
-  const ProductTree squares = square_product_tree(tree);
-  EXPECT_EQ(squares[1][2], squares[0][4]);
-  EXPECT_EQ(squares[1][2], BigInt(169u));
+TEST(RemainderLevelTest, PromotedNodeTakesItsParentResidue) {
+  // 5 nodes: node 4 is the odd one out, promoted unchanged to its parent.
+  // Its parent's residue is already below 13², so the step passes it down
+  // as is; every other node is reduced modulo its own square.
+  std::vector<BigInt> nodes;
+  for (int v : {3, 5, 7, 11, 13}) nodes.push_back(BigInt(unsigned(v)));
+  const std::vector<BigInt> parents = {BigInt(1000), BigInt(5000),
+                                       BigInt(168)};
+  const auto residues = remainder_level(parents, nodes);
+  ASSERT_EQ(residues.size(), nodes.size());
+  EXPECT_EQ(residues[0], BigInt(1000 % 9));
+  EXPECT_EQ(residues[1], BigInt(1000 % 25));
+  EXPECT_EQ(residues[2], BigInt(5000 % 49));
+  EXPECT_EQ(residues[3], BigInt(5000 % 121));
+  EXPECT_EQ(residues[4], BigInt(168));
 }
 
-TEST(SquareTreeTest, PrecomputedDescentMatchesConvenienceOverload) {
-  Xoshiro256 rng(126);
+TEST(RemainderLevelTest, ShapeMismatchThrows) {
+  const std::vector<BigInt> nodes = {BigInt(3), BigInt(5), BigInt(7),
+                                     BigInt(11)};
+  const std::vector<BigInt> one_parent = {BigInt(100)};
+  const std::vector<BigInt> three_parents = {BigInt(1), BigInt(2), BigInt(3)};
+  EXPECT_THROW(remainder_level(one_parent, nodes), std::invalid_argument);
+  EXPECT_THROW(remainder_level(three_parents, nodes), std::invalid_argument);
+  EXPECT_THROW(remainder_tree_mod_squares(ProductTree{}),
+               std::invalid_argument);
+}
+
+TEST(RemainderLevelTest, PowerOfTwoPlusOneCorpusIsBitIdentical) {
+  // 2^5 + 1 leaves: the last leaf rides up five levels as a promoted node,
+  // so every level of the descent takes the copy path for it. Plant a weak
+  // pair on that leaf and check residues and gcds against direct reduction
+  // and GMP.
+  rsa::CorpusSpec spec;
+  spec.count = 33;
+  spec.modulus_bits = 128;
+  spec.weak_pairs = 2;
+  spec.seed = 36;
+  rsa::WeakCorpus corpus = rsa::generate_corpus(spec);
+  const std::size_t last = corpus.moduli.size() - 1;
+  const std::size_t weak_leaf = corpus.weak[0].first;
+  std::swap(corpus.moduli[weak_leaf], corpus.moduli[last]);
+
+  const ProductTree tree = build_product_tree(corpus.moduli);
+  ASSERT_EQ(tree.size(), 7u);
+  for (std::size_t level = 1; level + 1 < tree.size(); ++level) {
+    ASSERT_EQ(tree[level].back(), corpus.moduli[last]) << "level " << level;
+  }
+  const BigInt& root = tree.back()[0];
+  const auto residues = remainder_tree_mod_squares(tree);
+  const BatchGcdResult result = batch_gcd(corpus.moduli);
+  for (std::size_t i = 0; i < corpus.moduli.size(); ++i) {
+    const BigInt& n = corpus.moduli[i];
+    EXPECT_EQ(residues[i], root % (n * n)) << "leaf " << i;
+    EXPECT_EQ(result.gcds[i], gmp_gcd(n, root / n)) << "leaf " << i;
+  }
+  EXPECT_EQ(result.gcds[last], corpus.weak[0].shared_prime);
+}
+
+TEST(RemainderLevelTest, DescentAcrossTheDivisionRungMatchesDirectReduction) {
+  // 64 × 512-bit leaves: the upper levels divide by squares of thousands of
+  // bits, where BigInt % runs Burnikel–Ziegler; the leaf residues are
+  // checked against one direct reduction of the root per leaf, whose small
+  // divisors stay on Knuth D.
+  Xoshiro256 rng(127);
   std::vector<BigInt> values;
-  for (int i = 0; i < 11; ++i) {
-    values.push_back(random_odd<std::uint32_t>(rng, 110));
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(random_odd<std::uint32_t>(rng, 512));
   }
   const ProductTree tree = build_product_tree(values);
-  const ProductTree squares = square_product_tree(tree);
-  EXPECT_EQ(remainder_tree_mod_squares(tree, squares),
-            remainder_tree_mod_squares(tree));
-}
-
-TEST(SquareTreeTest, ShapeMismatchThrows) {
-  std::vector<BigInt> values = {BigInt(3), BigInt(5), BigInt(7), BigInt(11)};
-  const ProductTree tree = build_product_tree(values);
-  ProductTree squares = square_product_tree(tree);
-  squares[0].pop_back();
-  EXPECT_THROW(remainder_tree_mod_squares(tree, squares),
-               std::invalid_argument);
-  EXPECT_THROW(remainder_tree_mod_squares(tree, ProductTree{}),
-               std::invalid_argument);
-  EXPECT_THROW(square_product_tree(ProductTree{}), std::invalid_argument);
+  const BigInt& root = tree.back()[0];
+  const auto residues = remainder_tree_mod_squares(tree);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(residues[i], root % (values[i] * values[i])) << "leaf " << i;
+  }
 }
 
 TEST(BatchGcdTest, FindsExactlyThePlantedWeakModuli) {
@@ -455,18 +494,18 @@ TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   std::error_code ignored;
   std::filesystem::remove(tmp, ignored);
 
+  const std::vector<BigInt> moduli = {BigInt(15), BigInt(21), BigInt(17 * 19)};
   const std::vector<BigInt> level1 = {BigInt(0x123456789abcULL), BigInt(0)};
   const std::vector<BigInt> residues = {BigInt(7), BigInt(11), BigInt(13)};
   const std::vector<BigInt> gcds = {BigInt(1), BigInt(1), BigInt(17)};
   {
-    BatchJournal journal(tmp, /*corpus_digest=*/0xfeedULL,
-                         /*corpus_count=*/3);
+    BatchJournal journal(tmp, moduli);
     journal.append_product_level(1, level1);
     journal.append_remainder_level(1, residues);
     journal.append_remainder_level(0, residues);
     journal.append_gcds(gcds);
   }
-  BatchJournal journal(tmp, 0xfeedULL, 3);
+  BatchJournal journal(tmp, moduli);
   BatchReplay replay = journal.take_replay();
   ASSERT_EQ(replay.product_levels.size(), 1u);
   EXPECT_EQ(replay.product_levels[0].first, 1u);

@@ -7,6 +7,7 @@
 
 #include "gmp_oracle.hpp"
 #include "mp/bigint.hpp"
+#include "mp/divrem_bz.hpp"
 #include "mp/karatsuba.hpp"
 #include "mp/toom3.hpp"
 
@@ -39,6 +40,30 @@ BigIntT<Limb> adversarial(Xoshiro256& rng) {
     default:  // random with stripped low bits
       return random_value<Limb>(rng, bits) << rng.below(100);
   }
+}
+
+/// Checks a ÷ b four ways: divrem_bz and Knuth D on raw spans,
+/// BigIntT::divmod (which picks its rung by operand size) and GMP.
+template <typename Limb>
+void expect_division_agrees(const BigIntT<Limb>& a, const BigIntT<Limb>& b) {
+  using Big = BigIntT<Limb>;
+  const std::size_t q_cap = a.size() >= b.size() ? a.size() - b.size() + 1 : 1;
+  std::vector<Limb> q_bz(q_cap), r_bz(b.size()), q_kn(q_cap), r_kn(b.size());
+  const DivSizes bz = divrem_bz(q_bz.data(), r_bz.data(), a.data(), a.size(),
+                                b.data(), b.size());
+  const DivSizes kn = divrem(q_kn.data(), r_kn.data(), a.data(), a.size(),
+                             b.data(), b.size());
+  const Big q = Big::from_limbs({q_bz.data(), bz.quotient});
+  const Big r = Big::from_limbs({r_bz.data(), bz.remainder});
+  test::Mpz gq, gr;
+  mpz_tdiv_qr(gq.get(), gr.get(), test::to_mpz(a).get(), test::to_mpz(b).get());
+  EXPECT_EQ(q, test::from_mpz<Limb>(gq));
+  EXPECT_EQ(r, test::from_mpz<Limb>(gr));
+  EXPECT_EQ(q, Big::from_limbs({q_kn.data(), kn.quotient}));
+  EXPECT_EQ(r, Big::from_limbs({r_kn.data(), kn.remainder}));
+  const auto [dq, dr] = Big::divmod(a, b);
+  EXPECT_EQ(dq, q);
+  EXPECT_EQ(dr, r);
 }
 
 template <typename Limb>
@@ -216,6 +241,95 @@ TYPED_TEST(MpStressTest, DispatchLadderMatchesGmpWellAboveBothThresholds) {
     test::Mpz ga = test::to_mpz(a), gb = test::to_mpz(b), gp;
     mpz_mul(gp.get(), ga.get(), gb.get());
     ASSERT_EQ(a * b, test::from_mpz<Limb>(gp));
+  }
+}
+
+TYPED_TEST(MpStressTest, Toom3MatchesGmpAtFourTimesTheThreshold) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  const std::size_t lb = mp::limb_bits<Limb>;
+  const std::size_t T = kToom3Threshold;
+  Xoshiro256 rng(181);
+  std::vector<std::pair<Big, Big>> cases;
+  for (int trial = 0; trial < 4; ++trial) {
+    // Every pointwise product recurses into Toom-3 at least once more, so
+    // the interpolation runs on nested results, with offsets that do not
+    // divide the operand sizes evenly.
+    cases.emplace_back(random_value<Limb>(rng, (4 * T + rng.below(5 * T)) * lb),
+                       random_value<Limb>(rng, (4 * T + rng.below(5 * T)) * lb));
+  }
+  // Imbalanced: the short operand has empty high parts after the split.
+  cases.emplace_back(random_value<Limb>(rng, 9 * T * lb),
+                     random_value<Limb>(rng, (T + rng.below(T)) * lb));
+  // All ones: the largest coefficients, so every partial sum is maximal.
+  const Big ones = (Big(1) << (4 * T * lb)) - Big(1);
+  cases.emplace_back(ones, ones);
+  for (const auto& [a, b] : cases) {
+    SCOPED_TRACE(::testing::Message() << a.size() << " x " << b.size());
+    test::Mpz gp;
+    mpz_mul(gp.get(), test::to_mpz(a).get(), test::to_mpz(b).get());
+    const Big expected = test::from_mpz<Limb>(gp);
+    ASSERT_EQ(Big::from_limbs(mul_toom3(a.data(), a.size(), b.data(), b.size())),
+              expected);
+    ASSERT_EQ(a * b, expected);
+  }
+}
+
+TYPED_TEST(MpStressTest, DivremBzMatchesKnuthAndGmpAcrossTheEngagePoint) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  const std::size_t lb = mp::limb_bits<Limb>;
+  const std::size_t T = kBurnikelZieglerThreshold;
+  Xoshiro256 rng(182);
+  // Divisor sizes straddle the recursion floor T and divmod's 2T engage
+  // point; most are not of the form j·2^k, and the random top limb leaves
+  // a partial shift, so the padding to the block size is exercised.
+  for (const std::size_t nb :
+       {T - 1, T, T + 1, 2 * T - 1, 2 * T, 2 * T + 1, 3 * T + 5, 5 * T - 3,
+        7 * T + 1}) {
+    // Quotient lengths from none through one block to many blocks.
+    for (const std::size_t nq :
+         {std::size_t{0}, std::size_t{1}, T - 1, T, T + 1, nb, 3 * nb + 7}) {
+      const Big b = random_value<Limb>(rng, nb * lb - rng.below(lb));
+      const Big a = random_value<Limb>(rng, (nb + nq) * lb - rng.below(lb));
+      SCOPED_TRACE(::testing::Message() << a.size() << " / " << b.size());
+      expect_division_agrees(a, b);
+    }
+  }
+}
+
+TYPED_TEST(MpStressTest, DivremBzAdversarialShapes) {
+  using Limb = TypeParam;
+  using Big = BigIntT<Limb>;
+  const std::size_t lb = mp::limb_bits<Limb>;
+  const std::size_t T = kBurnikelZieglerThreshold;
+  const std::size_t nb = 5 * T + 3;
+  Xoshiro256 rng(183);
+  std::vector<std::pair<Big, Big>> cases;
+  const Big ones_b = (Big(1) << (nb * lb)) - Big(1);
+  for (const std::size_t m : {T, 2 * T + 1, 4 * nb}) {
+    // Quotient all ones, remainder b − 1 over an all-ones divisor: the top
+    // half of each 3n/2n step equals the divisor's top half, the a1 ≥ b1
+    // branch, whose estimate β^n − 1 then needs the add-back corrections.
+    cases.emplace_back((ones_b << (m * lb)) - Big(1), ones_b);
+    cases.emplace_back((Big(1) << ((nb + m) * lb)) - Big(1), ones_b);
+  }
+  for (int trial = 0; trial < 6; ++trial) {
+    // Top-heavy dividends: their top limbs repeat the divisor, so the
+    // quotient estimates sit at the edge of their correction range.
+    const Big b = random_value<Limb>(rng, nb * lb - rng.below(lb));
+    const std::size_t m = T + rng.below(3 * nb);
+    const Big tail = random_value<Limb>(rng, m * lb);
+    cases.emplace_back((b << (m * lb)) + tail, b);
+    cases.emplace_back((b << (m * lb)) - tail, b);
+    cases.emplace_back((b << (m * lb)) - Big(1), b);
+  }
+  // A divisor with only its lowest top-limb bit set takes the widest shift.
+  cases.emplace_back(random_value<Limb>(rng, 3 * nb * lb),
+                     Big(1) << ((nb - 1) * lb));
+  for (const auto& [a, b] : cases) {
+    SCOPED_TRACE(::testing::Message() << a.size() << " / " << b.size());
+    expect_division_agrees(a, b);
   }
 }
 

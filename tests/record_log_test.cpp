@@ -411,6 +411,18 @@ TEST(RecordLogTest, ConcurrentAppendsNeverInterleave) {
   }
 }
 
+/// `bytes` with one bit flipped in the middle of the last place `encoded`
+/// (a value's journal encoding: a u32 length, then its bytes) occurs. The
+/// record still parses; only the value changes.
+std::string flip_inside_last(std::string bytes, const std::string& encoded) {
+  const std::size_t at = bytes.rfind(encoded);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) return bytes;
+  const std::size_t mid = at + 4 + (encoded.size() - 4) / 2;
+  bytes[mid] = char(bytes[mid] ^ 0x10);
+  return bytes;
+}
+
 // ---- crash points: scan checkpoint ------------------------------------------
 
 class ScanCrashPoints : public ::testing::Test {
@@ -488,6 +500,17 @@ TEST_F(ScanCrashPoints, EveryByteFlippedResumesOrRefuses) {
   }
 }
 
+TEST_F(ScanCrashPoints, DamagedHitFactorIsRecomputedNotTrusted) {
+  // A hit factor that no longer divides its moduli is damage: its chunk
+  // record and the tail after it are dropped and recomputed.
+  ASSERT_FALSE(reference_.result.hits.empty());
+  RecordWriter factor;
+  factor.bigint_limbs(reference_.result.hits.front().factor);
+  const std::string bytes = flip_inside_last(journal_, factor.bytes());
+  ASSERT_NE(bytes, journal_);
+  expect_same_scan(resume(bytes), reference_, 0);
+}
+
 TEST_F(ScanCrashPoints, HugeHitCountIsATornTailNotAnAllocation) {
   // A chunk record whose hit count claims 2^30 hits: the bytes left cannot
   // hold them, so the record is a torn tail, dropped and recomputed.
@@ -542,9 +565,7 @@ class ArrivalCrashPoints : public ::testing::Test {
     }
     {
       // A shed key: the gate journals it, then retracts it.
-      svc::ArrivalJournal journal(
-          path, rsa::corpus_digest(std::span<const BigInt>(seed_)),
-          seed_.size());
+      svc::ArrivalJournal journal(path, std::span<const BigInt>(seed_));
       const std::uint64_t seq = journal.take_replay().arrivals.size();
       journal.append_arrival(seq, corpus_.moduli.back());
       journal.append_retract(seq);
@@ -625,6 +646,27 @@ TEST_F(ArrivalCrashPoints, EveryByteFlippedResumesOrRefuses) {
   }
 }
 
+TEST_F(ArrivalCrashPoints, DamagedProbedFactorIsReprobedNotTrusted) {
+  // The journaled hits are those of arrivals (j past the seed).
+  const auto hit = std::find_if(
+      reference_.hits.begin(), reference_.hits.end(),
+      [&](const bulk::FactorHit& h) { return h.j >= seed_.size(); });
+  ASSERT_NE(hit, reference_.hits.end());
+  RecordWriter factor;
+  factor.bigint_bytes(hit->factor);
+  const std::string bytes = flip_inside_last(journal_, factor.bytes());
+  ASSERT_NE(bytes, journal_);
+  const Outcome got = resume(bytes);
+  EXPECT_EQ(got.corpus, reference_.corpus);
+  ASSERT_EQ(got.hits.size(), reference_.hits.size());
+  for (std::size_t k = 0; k < got.hits.size(); ++k) {
+    EXPECT_EQ(got.hits[k].i, reference_.hits[k].i);
+    EXPECT_EQ(got.hits[k].j, reference_.hits[k].j);
+    EXPECT_EQ(got.hits[k].factor, reference_.hits[k].factor);
+    EXPECT_EQ(got.hits[k].full_modulus, reference_.hits[k].full_modulus);
+  }
+}
+
 TEST_F(ArrivalCrashPoints, HugeHitCountIsATornTailNotAnAllocation) {
   // A probed record for the next arrival claiming 2^30 hits.
   const std::size_t arrivals = reference_.corpus.size() - seed_.size();
@@ -694,6 +736,19 @@ TEST_F(TreeCrashPoints, EveryByteFlippedResumesOrRefuses) {
     }
     EXPECT_FALSE(limit.refused()) << "flip at " << at;
   }
+}
+
+TEST_F(TreeCrashPoints, DamagedGcdIsRecomputedNotTrusted) {
+  // The gcds record is last; its shared prime no longer divides the modulus.
+  const auto weak = batchgcd::weak_indices(reference_.result);
+  ASSERT_FALSE(weak.empty());
+  RecordWriter gcd;
+  gcd.bigint_limbs(reference_.result.gcds[weak.front()]);
+  const std::string bytes = flip_inside_last(journal_, gcd.bytes());
+  ASSERT_NE(bytes, journal_);
+  const auto got = resume(bytes);
+  ASSERT_TRUE(got.complete);
+  EXPECT_EQ(got.result.gcds, reference_.result.gcds);
 }
 
 TEST_F(TreeCrashPoints, HugeValueCountIsATornTailNotAnAllocation) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -329,6 +330,31 @@ TEST(IntakeServiceTest, DuplicatesAreRejectedAgainstSeedAndArrivals) {
   EXPECT_EQ(stats.admitted, 1u);
   EXPECT_EQ(stats.duplicates, 2u);
   EXPECT_EQ(service.corpus_size(), 4u);
+}
+
+TEST(IntakeServiceTest, SubmitRefusesValuesTheEnginesCannotTake) {
+  // API callers bypass IntakeParser; submit applies the same screen and
+  // throws before any counter moves, so the gate's partition still holds.
+  const WeakCorpus corpus = test_corpus(4, 0, 4242);
+  obs::MetricsRegistry registry;
+  IntakeServiceConfig config = probe_config(bulk::BulkBackend::kLockstep, 1);
+  config.probe.metrics = &registry;
+  IntakeService service({corpus.moduli[0]}, std::move(config));
+  for (const std::uint64_t bad : {0u, 1u, 2u, 1000u}) {
+    EXPECT_THROW(service.submit(BigInt(bad)), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(service.submit(corpus.moduli[1] << 1), std::invalid_argument);
+  EXPECT_EQ(service.submit(corpus.moduli[1]), Admission::kAdmitted);
+  EXPECT_EQ(service.submit(corpus.moduli[0]), Admission::kDuplicate);
+  service.stop();
+  EXPECT_EQ(service.submit(corpus.moduli[2]), Admission::kClosed);
+  const IntakeStats stats = service.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.submitted,
+            stats.admitted + stats.duplicates + stats.shed + stats.closed);
+  EXPECT_EQ(stats.probed, 1u);
+  EXPECT_EQ(registry.counter("intake_submitted_total")->value(), 3u);
+  EXPECT_EQ(service.corpus_size(), 2u);
 }
 
 TEST(IntakeServiceTest, SubmitAfterStopReturnsClosed) {
