@@ -24,13 +24,17 @@ constexpr std::uint8_t kRecordGcds = 3;
 
 /// A level's values: u64 count, then each as 32-bit limbs (count + limbs),
 /// the same encoding the scan checkpoint uses for hit factors, so
-/// checkpoints stay portable across BULKGCD_LIMB32 configurations.
-void put_values(core::RecordWriter& out, std::span<const mp::BigInt> values) {
+/// checkpoints stay portable across limb widths: tree levels are encoded
+/// straight from their 64-bit limbs, the gcds from 32-bit ones.
+template <mp::LimbType Limb>
+void put_values(core::RecordWriter& out,
+                std::span<const mp::BigIntT<Limb>> values) {
   out.u64(values.size());
   for (const auto& v : values) out.bigint_limbs(v);
 }
 
-bool get_values(core::Cursor& c, std::vector<mp::BigInt>& values) {
+template <mp::LimbType Limb>
+bool get_values(core::Cursor& c, std::vector<mp::BigIntT<Limb>>& values) {
   std::uint64_t count = 0;
   if (!c.count64(count, 4)) return false;  // each value costs ≥ 4 bytes
   values.resize(count);
@@ -46,7 +50,7 @@ bool parse_record(core::Cursor& c, BatchReplay& replay,
   if (!c.u8(kind) || replay.gcds) return false;
   const bool descending = replay.remainder.has_value();
   std::uint32_t level = 0;
-  std::vector<mp::BigInt> values;
+  std::vector<mp::BigInt64> values;
   if (kind == kRecordProduct) {
     // Product levels are dense from 1.
     if (descending || !c.u32(level) ||
@@ -67,11 +71,12 @@ bool parse_record(core::Cursor& c, BatchReplay& replay,
   if (kind == kRecordGcds) {
     // A gcd that does not divide its modulus is damage, never a result:
     // the record ends the parse and the final level is recomputed.
-    if (!get_values(c, values) || values.size() != moduli.size()) return false;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (!mp::divides(values[i], moduli[i])) return false;
+    std::vector<mp::BigInt> gcds;
+    if (!get_values(c, gcds) || gcds.size() != moduli.size()) return false;
+    for (std::size_t i = 0; i < gcds.size(); ++i) {
+      if (!mp::divides(gcds[i], moduli[i])) return false;
     }
-    replay.gcds = std::move(values);
+    replay.gcds = std::move(gcds);
     return true;
   }
   return false;  // unknown record kind
@@ -107,7 +112,7 @@ core::LogSchema batch_schema(std::span<const mp::BigInt> moduli,
 }
 
 core::RecordWriter level_record(std::uint8_t kind, std::uint32_t level,
-                                std::span<const mp::BigInt> values) {
+                                std::span<const mp::BigInt64> values) {
   core::RecordWriter out;
   out.u8(kind);
   out.u32(level);
@@ -129,12 +134,12 @@ BatchJournal::BatchJournal(std::filesystem::path path,
 BatchReplay BatchJournal::take_replay() { return std::move(replay_); }
 
 void BatchJournal::append_product_level(std::uint32_t level,
-                                        std::span<const mp::BigInt> nodes) {
+                                        std::span<const mp::BigInt64> nodes) {
   log_.append(level_record(kRecordProduct, level, nodes).bytes());
 }
 
 void BatchJournal::append_remainder_level(
-    std::uint32_t level, std::span<const mp::BigInt> residues) {
+    std::uint32_t level, std::span<const mp::BigInt64> residues) {
   log_.append(level_record(kRecordRemainder, level, residues).bytes());
 }
 

@@ -16,8 +16,9 @@
 //   gcds(values)             — the final per-modulus gcd vector; its
 //                              presence marks the attack complete.
 //
-// Values are journaled as canonical 32-bit BigInt limbs regardless of the
-// build's scan limb width, so a checkpoint written by one build resumes
+// Values are journaled as canonical 32-bit limbs whatever limb width holds
+// them: tree levels are written straight from the tree's 64-bit limbs, the
+// gcds from BigInt's 32-bit ones. A checkpoint written by one build resumes
 // under any other (mirrors the scan journal's portability rule).
 #pragma once
 
@@ -42,10 +43,11 @@ namespace bulkgcd::batchgcd {
 struct BatchReplay {
   /// Restored product-tree levels in append order (level index ≥ 1). A valid
   /// journal holds a dense prefix 1..k; the driver re-checks sizes anyway.
-  std::vector<std::pair<std::uint32_t, std::vector<mp::BigInt>>> product_levels;
+  std::vector<std::pair<std::uint32_t, std::vector<mp::BigInt64>>>
+      product_levels;
   /// Deepest (lowest-level) restored remainder vector — the descent resumes
   /// from here. Records are appended top-down, so the last one parsed wins.
-  std::optional<std::pair<std::uint32_t, std::vector<mp::BigInt>>> remainder;
+  std::optional<std::pair<std::uint32_t, std::vector<mp::BigInt64>>> remainder;
   /// Final gcd vector, present only when the attack finished.
   std::optional<std::vector<mp::BigInt>> gcds;
   /// File prefix that parsed cleanly; bytes past it (torn tail) were
@@ -80,10 +82,10 @@ class BatchJournal {
 
   /// Journal one completed product-tree level (level ≥ 1).
   void append_product_level(std::uint32_t level,
-                            std::span<const mp::BigInt> nodes);
+                            std::span<const mp::BigInt64> nodes);
   /// Journal the residues after the descent reduced into tree `level`.
   void append_remainder_level(std::uint32_t level,
-                              std::span<const mp::BigInt> residues);
+                              std::span<const mp::BigInt64> residues);
   /// Journal the final gcd vector; marks the run complete on replay.
   void append_gcds(std::span<const mp::BigInt> gcds);
 

@@ -1,5 +1,6 @@
 #include "batchgcd/batchgcd.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -77,10 +78,19 @@ std::size_t tree_depth(std::size_t m) {
   return depth;
 }
 
+/// Level 0 of the tree: the moduli in the tree's 64-bit limbs.
+std::vector<mp::BigInt64> tree_leaves(std::span<const mp::BigInt> moduli) {
+  std::vector<mp::BigInt64> leaves;
+  leaves.reserve(moduli.size());
+  for (const auto& n : moduli) leaves.push_back(mp::repack<std::uint64_t>(n));
+  return leaves;
+}
+
 }  // namespace
 
-std::vector<mp::BigInt> product_level(std::span<const mp::BigInt> children) {
-  std::vector<mp::BigInt> parents((children.size() + 1) / 2);
+std::vector<mp::BigInt64> product_level(
+    std::span<const mp::BigInt64> children) {
+  std::vector<mp::BigInt64> parents((children.size() + 1) / 2);
   global_pool().parallel_for(0, parents.size(), [&](std::size_t lo,
                                                     std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -94,12 +104,13 @@ std::vector<mp::BigInt> product_level(std::span<const mp::BigInt> children) {
   return parents;
 }
 
-std::vector<mp::BigInt> remainder_level(std::span<const mp::BigInt> parents,
-                                        std::span<const mp::BigInt> nodes) {
+std::vector<mp::BigInt64> remainder_level(
+    std::span<const mp::BigInt64> parents,
+    std::span<const mp::BigInt64> nodes) {
   if (parents.size() != (nodes.size() + 1) / 2) {
     throw std::invalid_argument("remainder level: parent/node shape mismatch");
   }
-  std::vector<mp::BigInt> residues(nodes.size());
+  std::vector<mp::BigInt64> residues(nodes.size());
   global_pool().parallel_for(0, nodes.size(), [&](std::size_t lo,
                                                   std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -116,14 +127,14 @@ std::vector<mp::BigInt> remainder_level(std::span<const mp::BigInt> parents,
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli) {
   if (moduli.empty()) throw std::invalid_argument("product tree: empty input");
   ProductTree tree;
-  tree.emplace_back(moduli.begin(), moduli.end());
+  tree.push_back(tree_leaves(moduli));
   while (tree.back().size() > 1) tree.push_back(product_level(tree.back()));
   return tree;
 }
 
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree) {
+std::vector<mp::BigInt64> remainder_tree_mod_squares(const ProductTree& tree) {
   if (tree.empty()) throw std::invalid_argument("remainder tree: empty tree");
-  std::vector<mp::BigInt> current(1, tree.back()[0]);  // root mod root² = root
+  std::vector<mp::BigInt64> current(1, tree.back()[0]);  // root mod root² = root
   for (std::size_t level = tree.size() - 1; level-- > 0;) {
     current = remainder_level(current, tree[level]);
   }
@@ -189,7 +200,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   // re-checked against the corpus: the digest binds the leaves, the dense
   // level/size invariants bind everything above them.
   ProductTree tree;
-  tree.emplace_back(moduli.begin(), moduli.end());
+  tree.push_back(tree_leaves(moduli));
   for (auto& [level, nodes] : replay.product_levels) {
     const auto& prev = tree.back();
     if (level != tree.size() || nodes.size() != (prev.size() + 1) / 2) {
@@ -205,7 +216,7 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   while (tree.back().size() > 1) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.product_id);
-    std::vector<mp::BigInt> next = product_level(tree.back());
+    std::vector<mp::BigInt64> next = product_level(tree.back());
     const std::uint32_t level = std::uint32_t(tree.size());
     tspan.set_args(level, next.size());
     if (t.product_nodes) t.product_nodes->add(next.size());
@@ -220,10 +231,10 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   // ---- remainder phase (down) ---------------------------------------------
   // Squares are computed on the fly per level: with per-level checkpoints
   // there is no separate square-tree phase to resume, and each node's square
-  // is needed exactly once on the way down anyway. Each product level is
-  // released once the descent has used it, so the tree shrinks as the
-  // residues grow in number.
-  std::vector<mp::BigInt> current;
+  // is needed exactly once on the way down anyway. Each product level above
+  // the leaves is released once the descent has used it, so the tree
+  // shrinks as the residues grow in number; the leaves stay for the gcds.
+  std::vector<mp::BigInt64> current;
   std::size_t next_level = depth - 1;  // the level `current` holds residues of
   if (replay.remainder) {
     auto& [restored_level, residues] = *replay.remainder;
@@ -243,13 +254,13 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   } else {
     current.assign(1, tree.back()[0]);  // root mod root² = root
   }
-  tree.resize(next_level);  // levels from next_level up are spent
+  tree.resize(std::max<std::size_t>(next_level, 1));  // the rest is spent
 
   for (std::size_t level = next_level; level-- > 0;) {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.remainder_id);
     current = remainder_level(current, tree[level]);
-    tree.pop_back();  // tree[level] is spent
+    if (level > 0) tree.pop_back();  // tree[level] is spent
     tspan.set_args(level, current.size());
     if (t.remainder_nodes) t.remainder_nodes->add(current.size());
     if (journal) journal->append_remainder_level(std::uint32_t(level), current);
@@ -263,12 +274,15 @@ BatchScanReport run_resumable_batch(std::span<const mp::BigInt> moduli,
   {
     obs::ScopedSpan level_span(t.level_seconds);
     obs::TraceSpan tspan(trace.rec, trace.gcds_id);
+    const std::vector<mp::BigInt64>& leaves = tree[0];
     report.result.gcds.resize(moduli.size());
     global_pool().parallel_for(0, moduli.size(), [&](std::size_t lo,
                                                      std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        // current[i] = P mod n_i²; divide by n_i to get (P / n_i) mod n_i.
-        const mp::BigInt cofactor_mod = current[i] / moduli[i];
+        // current[i] = P mod n_i²; divide by n_i to get (P / n_i) mod n_i,
+        // which leaves the tree for the paper's d = 32 gcd engine.
+        const mp::BigInt cofactor_mod =
+            mp::repack<std::uint32_t>(current[i] / leaves[i]);
         report.result.gcds[i] = gcd::gcd_general(moduli[i], cofactor_mod);
       }
     });

@@ -9,6 +9,12 @@
 //   gcd(n_i, P / n_i) = gcd(n_i, (P mod n_i²) / n_i),
 // and the remainder tree delivers every P mod n_i² in O(M(total bits) log m).
 //
+// The tree runs on 64-bit limbs (mp::BigInt64) in every build: million-bit
+// products and divisions take half the limbs of the paper's d = 32 words.
+// Every public input and output stays mp::BigInt; the moduli are repacked
+// once on the way in, and each (P mod n_i²) / n_i once on the way out to
+// the d = 32 gcd.
+//
 // Two entry points:
 //   batch_gcd            — one-shot, in-memory (the bench/test workhorse).
 //   run_resumable_batch  — the checkpointed driver: each completed tree
@@ -34,14 +40,14 @@ class TraceRecorder;
 
 namespace bulkgcd::batchgcd {
 
-/// Levels of the product tree: level 0 = the moduli, each higher level the
-/// pairwise products, top level a single root Π n_i.
-using ProductTree = std::vector<std::vector<mp::BigInt>>;
+/// Levels of the product tree in 64-bit limbs: level 0 = the moduli, each
+/// higher level the pairwise products, top level a single root Π n_i.
+using ProductTree = std::vector<std::vector<mp::BigInt64>>;
 
 /// One product-tree level up: parent i = children[2i] · children[2i+1], an
 /// odd last child promoted unchanged. The driver's step and the loop inside
 /// build_product_tree.
-std::vector<mp::BigInt> product_level(std::span<const mp::BigInt> children);
+std::vector<mp::BigInt64> product_level(std::span<const mp::BigInt64> children);
 
 /// One remainder-tree level down: residues[i] = parents[i/2] mod nodes[i]²,
 /// where parents[k] is the residue at the parent of nodes[2k] and
@@ -49,13 +55,14 @@ std::vector<mp::BigInt> product_level(std::span<const mp::BigInt> children);
 /// and a residue mod p² is already below p², so it takes its parent's
 /// residue as is. Throws std::invalid_argument unless parents.size() ==
 /// ceil(nodes.size() / 2).
-std::vector<mp::BigInt> remainder_level(std::span<const mp::BigInt> parents,
-                                        std::span<const mp::BigInt> nodes);
+std::vector<mp::BigInt64> remainder_level(std::span<const mp::BigInt64> parents,
+                                          std::span<const mp::BigInt64> nodes);
 
+/// The whole product tree over the moduli, repacked into level 0.
 ProductTree build_product_tree(std::span<const mp::BigInt> moduli);
 
 /// Descend the tree: value at each leaf i is root mod n_i².
-std::vector<mp::BigInt> remainder_tree_mod_squares(const ProductTree& tree);
+std::vector<mp::BigInt64> remainder_tree_mod_squares(const ProductTree& tree);
 
 struct BatchGcdResult {
   /// gcds[i] = gcd(n_i, Π_{k≠i} n_k): 1 when n_i shares no factor, the

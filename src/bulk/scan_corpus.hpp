@@ -33,33 +33,6 @@ using ScanLimb = std::uint64_t;
 using ScanLimb = std::uint32_t;
 #endif
 
-/// Repack a little-endian limb array from one limb width to another,
-/// normalizing (no high zero limbs) on the way out. Value-preserving for any
-/// source/destination width up to 64 bits; only runs at corpus staging and
-/// hit conversion time, never per pair.
-template <mp::LimbType Dst, mp::LimbType Src>
-std::vector<Dst> repack_limbs(std::span<const Src> src) {
-  constexpr int kSrcBits = mp::limb_bits<Src>;
-  constexpr int kDstBits = mp::limb_bits<Dst>;
-  std::vector<Dst> out;
-  out.reserve((src.size() * kSrcBits + kDstBits - 1) / kDstBits);
-  __extension__ using Acc = unsigned __int128;
-  Acc acc = 0;
-  int acc_bits = 0;
-  for (const Src limb : src) {
-    acc |= Acc(limb) << acc_bits;
-    acc_bits += kSrcBits;
-    while (acc_bits >= kDstBits) {
-      out.push_back(Dst(acc));
-      acc >>= kDstBits;
-      acc_bits -= kDstBits;
-    }
-  }
-  if (acc_bits > 0) out.push_back(Dst(acc));
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
-}
-
 /// Convert scan limbs back to the library-default BigInt (hit reporting,
 /// factor verification — everything outside the hot loop speaks BigInt).
 template <mp::LimbType Src>
@@ -67,7 +40,7 @@ mp::BigInt to_default_bigint(std::span<const Src> limbs) {
   if constexpr (std::is_same_v<Src, std::uint32_t>) {
     return mp::BigInt::from_limbs(limbs);
   } else {
-    return mp::BigInt::from_limbs(repack_limbs<std::uint32_t, Src>(limbs));
+    return mp::BigInt::from_limbs(mp::repack_limbs<std::uint32_t, Src>(limbs));
   }
 }
 
@@ -100,7 +73,7 @@ class ScanCorpusT {
       if constexpr (std::is_same_v<Limb, std::uint32_t>) {
         std::copy(src.begin(), src.end(), data_.begin() + offsets_[i]);
       } else {
-        const auto packed = repack_limbs<Limb>(src);
+        const auto packed = mp::repack_limbs<Limb>(src);
         std::copy(packed.begin(), packed.end(), data_.begin() + offsets_[i]);
       }
     }

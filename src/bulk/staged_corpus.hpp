@@ -56,7 +56,7 @@ class StagedCorpusT {
     if constexpr (std::is_same_v<Limb, std::uint32_t>) {
       packed = n.limbs();
     } else {
-      packed_storage = repack_limbs<Limb>(n.limbs());
+      packed_storage = mp::repack_limbs<Limb>(n.limbs());
       packed = packed_storage;
     }
     const std::size_t bits = n.bit_length();

@@ -39,11 +39,24 @@ void RecordWriter::str(std::string_view s) {
   out_.append(s);
 }
 
-void RecordWriter::bigint_limbs(const mp::BigInt& n) {
+template <mp::LimbType Limb>
+void RecordWriter::bigint_limbs(const mp::BigIntT<Limb>& n) {
+  constexpr std::size_t kWords = std::size_t(mp::limb_bits<Limb>) / 32;
   const auto limbs = n.limbs();
-  u32(std::uint32_t(limbs.size()));
-  for (const auto limb : limbs) u32(limb);
+  const std::size_t words = (n.bit_length() + 31) / 32;
+  u32(std::uint32_t(words));
+  // Sized once: tree levels run to megabytes, so no per-byte append.
+  const std::size_t at = out_.size();
+  out_.resize(at + 4 * words);
+  char* p = out_.data() + at;
+  for (std::size_t w = 0; w < words; ++w) {
+    const auto word = std::uint32_t(limbs[w / kWords] >> (32 * (w % kWords)));
+    for (int b = 0; b < 4; ++b) *p++ = char(word >> (8 * b));
+  }
 }
+
+template void RecordWriter::bigint_limbs(const mp::BigInt&);
+template void RecordWriter::bigint_limbs(const mp::BigInt64&);
 
 void RecordWriter::bigint_bytes(const mp::BigInt& n) {
   const auto limbs = n.limbs();
@@ -75,14 +88,18 @@ bool Cursor::str(std::string& s) {
   return true;
 }
 
-bool Cursor::bigint_limbs(mp::BigInt& n) {
+template <mp::LimbType Limb>
+bool Cursor::bigint_limbs(mp::BigIntT<Limb>& n) {
   std::uint64_t nlimbs = 0;
   if (!count32(nlimbs, 4)) return false;
   std::vector<std::uint32_t> limbs(nlimbs);
   for (auto& limb : limbs) u32(limb);
-  n = mp::BigInt::from_limbs(limbs);
+  n = mp::repack<Limb>(mp::BigInt::from_limbs(limbs));
   return true;
 }
+
+template bool Cursor::bigint_limbs(mp::BigInt&);
+template bool Cursor::bigint_limbs(mp::BigInt64&);
 
 bool Cursor::bigint_bytes(mp::BigInt& n) {
   std::uint64_t nbytes = 0;

@@ -52,8 +52,10 @@ class RecordWriter {
   /// u32 length + raw bytes.
   void str(std::string_view s);
   /// u32 limb count + 32-bit limbs, least significant first (scan and batch
-  /// journals): the same bytes under every scan limb width.
-  void bigint_limbs(const mp::BigInt& n);
+  /// journals): the same bytes whatever width of limbs holds n (BigInt or
+  /// BigInt64), written straight from those limbs.
+  template <mp::LimbType Limb>
+  void bigint_limbs(const mp::BigIntT<Limb>& n);
   /// u32 byte count + exactly (bit_length + 7) / 8 canonical little-endian
   /// bytes (arrival journal; the bytes rsa::modulus_fingerprint hashes).
   void bigint_bytes(const mp::BigInt& n);
@@ -83,7 +85,8 @@ class Cursor {
   bool count32(std::uint64_t& n, std::size_t min_size) noexcept;
   bool count64(std::uint64_t& n, std::size_t min_size) noexcept;
   bool str(std::string& s);
-  bool bigint_limbs(mp::BigInt& n);
+  template <mp::LimbType Limb>
+  bool bigint_limbs(mp::BigIntT<Limb>& n);
   bool bigint_bytes(mp::BigInt& n);
 
   std::size_t pos() const noexcept { return pos_; }

@@ -4,13 +4,15 @@
 // The default alias `BigInt` uses 32-bit limbs, the paper's d = 32 word size.
 // Heavy inner loops (the GCD family, the SIMT engine) do NOT use this class —
 // they run on raw limb buffers via src/gcd and src/bulk; BigInt is the
-// convenience layer for RSA, corpus generation, batch GCD and tests.
+// convenience layer for RSA, corpus generation and tests. The batch-GCD tree
+// runs on BigInt64: million-bit products need half as many 64-bit limbs.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -151,6 +153,44 @@ template <LimbType Limb>
 bool is_shared_factor(const BigIntT<Limb>& f, const BigIntT<Limb>& a,
                       const BigIntT<Limb>& b) {
   return f.bit_length() >= 2 && divides(f, a) && divides(f, b);
+}
+
+/// Repack a little-endian limb array from one limb width to another,
+/// normalizing (no high zero limbs) on the way out. Value-preserving for any
+/// source/destination width up to 64 bits. The one limb-width conversion:
+/// the scan corpus stages moduli with it, the batch tree enters and leaves
+/// its 64-bit limbs through it.
+template <LimbType Dst, LimbType Src>
+std::vector<Dst> repack_limbs(std::span<const Src> src) {
+  constexpr int kSrcBits = limb_bits<Src>;
+  constexpr int kDstBits = limb_bits<Dst>;
+  std::vector<Dst> out;
+  out.reserve((src.size() * kSrcBits + kDstBits - 1) / kDstBits);
+  __extension__ using Acc = unsigned __int128;
+  Acc acc = 0;
+  int acc_bits = 0;
+  for (const Src limb : src) {
+    acc |= Acc(limb) << acc_bits;
+    acc_bits += kSrcBits;
+    while (acc_bits >= kDstBits) {
+      out.push_back(Dst(acc));
+      acc >>= kDstBits;
+      acc_bits -= kDstBits;
+    }
+  }
+  if (acc_bits > 0) out.push_back(Dst(acc));
+  while (!out.empty() && out.back() == 0) out.pop_back();
+  return out;
+}
+
+/// The same value held in Dst limbs.
+template <LimbType Dst, LimbType Src>
+BigIntT<Dst> repack(const BigIntT<Src>& v) {
+  if constexpr (std::is_same_v<Dst, Src>) {
+    return v;
+  } else {
+    return BigIntT<Dst>::from_limbs(repack_limbs<Dst>(v.limbs()));
+  }
 }
 
 extern template class BigIntT<std::uint16_t>;

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <stdexcept>
+#include <string>
 
 #include "rsa/pem.hpp"
 
@@ -36,16 +37,44 @@ void IntakeParser::feed(std::string_view chunk) {
   std::size_t pos = 0;
   while (pos < chunk.size()) {
     const std::size_t nl = chunk.find('\n', pos);
-    if (nl == std::string_view::npos) {
-      pending_.append(chunk.substr(pos));
-      break;
+    const std::string_view piece = chunk.substr(pos, nl - pos);
+    if (!dropping_line_) {
+      if (pending_.size() + piece.size() > kMaxRecordBytes) {
+        drop_line();
+      } else {
+        pending_.append(piece);
+      }
     }
-    pending_.append(chunk.substr(pos, nl - pos));
-    std::string line = std::move(pending_);
-    pending_.clear();
-    consume_line(line);
+    if (nl == std::string_view::npos) break;
+    if (dropping_line_) {
+      dropping_line_ = false;  // the overlong line ends here
+      ++line_no_;
+    } else {
+      std::string line = std::move(pending_);
+      pending_.clear();
+      consume_line(line);
+    }
     pos = nl + 1;
   }
+}
+
+void IntakeParser::drop_line() {
+  dropping_line_ = true;
+  pending_ = std::string();  // release the buffer, not just its contents
+  if (in_pem_) {
+    drop_pem();
+  } else {
+    reject(line_no_ + 1, "record line over " + std::to_string(kMaxRecordBytes) +
+                             " bytes");
+  }
+}
+
+void IntakeParser::drop_pem() {
+  if (dropping_pem_) return;
+  dropping_pem_ = true;
+  pem_ = std::string();
+  reject(pem_start_line_,
+         "PEM block over " + std::to_string(kMaxRecordBytes) + " bytes");
 }
 
 std::vector<IntakeRecord> IntakeParser::drain() {
@@ -55,7 +84,10 @@ std::vector<IntakeRecord> IntakeParser::drain() {
 }
 
 std::vector<IntakeRecord> IntakeParser::finish() {
-  if (!pending_.empty()) {
+  if (dropping_line_) {
+    dropping_line_ = false;  // already rejected
+    ++line_no_;
+  } else if (!pending_.empty()) {
     std::string line = std::move(pending_);
     pending_.clear();
     consume_line(line);
@@ -63,7 +95,11 @@ std::vector<IntakeRecord> IntakeParser::finish() {
   if (in_pem_) {
     in_pem_ = false;
     pem_.clear();
-    reject(pem_start_line_, "unterminated PEM block (stream ended before END)");
+    if (!dropping_pem_) {
+      reject(pem_start_line_,
+             "unterminated PEM block (stream ended before END)");
+    }
+    dropping_pem_ = false;
   }
   return drain();
 }
@@ -75,16 +111,25 @@ void IntakeParser::consume_line(std::string_view raw) {
   const std::string_view line = trim(raw);
 
   if (in_pem_) {
-    pem_.append(raw);
-    pem_.push_back('\n');
+    if (dropping_pem_) {
+      // skip to the END armor
+    } else if (pem_.size() + raw.size() + 1 > kMaxRecordBytes) {
+      drop_pem();
+    } else {
+      pem_.append(raw);
+      pem_.push_back('\n');
+    }
     if (line.rfind("-----END", 0) == 0) {
       in_pem_ = false;
-      try {
-        const rsa::PublicKey key = rsa::pem_decode_public_key(pem_);
-        accept(key.n, RecordKind::kPem, pem_start_line_);
-      } catch (const std::exception& e) {
-        reject(pem_start_line_, std::string("bad PEM block: ") + e.what());
+      if (!dropping_pem_) {
+        try {
+          const rsa::PublicKey key = rsa::pem_decode_public_key(pem_);
+          accept(key.n, RecordKind::kPem, pem_start_line_);
+        } catch (const std::exception& e) {
+          reject(pem_start_line_, std::string("bad PEM block: ") + e.what());
+        }
       }
+      dropping_pem_ = false;
       pem_.clear();
     }
     return;

@@ -21,6 +21,11 @@
 // The parser is incremental: feed() arbitrary chunks as they arrive off a
 // socket (records split across chunk boundaries are fine), drain() completed
 // records, finish() once at EOF to flush a trailing unterminated record.
+//
+// Memory is bounded whatever the stream holds: a line or a PEM block that
+// outgrows kMaxRecordBytes is rejected as one record the moment it crosses
+// the cap, its further bytes are dropped, and parsing resumes after the
+// next newline (a line) or END armor (a PEM block).
 #pragma once
 
 #include <cstddef>
@@ -56,6 +61,11 @@ std::string_view modulus_screen_error(const mp::BigInt& n) noexcept;
 
 class IntakeParser {
  public:
+  /// Longest line, and largest PEM block, the parser buffers. Far above any
+  /// legitimate record: a keypair line for a 16384-bit key is ~12 KiB of
+  /// hex, its PEM block ~3 KiB.
+  static constexpr std::size_t kMaxRecordBytes = 64 * 1024;
+
   /// Append a chunk of the stream; complete records become drainable.
   void feed(std::string_view chunk);
 
@@ -70,12 +80,16 @@ class IntakeParser {
 
  private:
   void consume_line(std::string_view line);
+  void drop_line();
+  void drop_pem();
   void reject(std::size_t line, std::string error);
   void accept(mp::BigInt n, RecordKind kind, std::size_t line);
 
   std::string pending_;   ///< partial line awaiting its newline
   std::string pem_;       ///< accumulating PEM block body
+  bool dropping_line_ = false;  ///< an overlong line runs to its newline
   bool in_pem_ = false;
+  bool dropping_pem_ = false;   ///< an oversized PEM block runs to its END
   std::size_t pem_start_line_ = 0;
   std::size_t line_no_ = 0;
   std::vector<IntakeRecord> out_;

@@ -1,4 +1,5 @@
 // Batch-GCD (product/remainder tree) tests: tree invariants against GMP and
+// against 32-bit BigInt arithmetic (the tree runs on 64-bit limbs), and
 // agreement with the pairwise attack on planted corpora.
 #include "batchgcd/batchgcd.hpp"
 
@@ -6,11 +7,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include "batchgcd/batch_journal.hpp"
 #include "bulk/allpairs.hpp"
 #include "gmp_oracle.hpp"
+#include "mp/divrem_bz.hpp"
 #include "obs/metrics.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
@@ -22,6 +26,10 @@ using bulkgcd::Xoshiro256;
 using bulkgcd::test::gmp_gcd;
 using bulkgcd::test::random_odd;
 using mp::BigInt;
+using mp::BigInt64;
+
+BigInt64 wide(const BigInt& v) { return mp::repack<std::uint64_t>(v); }
+BigInt narrow(const BigInt64& v) { return mp::repack<std::uint32_t>(v); }
 
 TEST(ProductTreeTest, RootIsTheFullProduct) {
   Xoshiro256 rng(121);
@@ -33,7 +41,7 @@ TEST(ProductTreeTest, RootIsTheFullProduct) {
   }
   const ProductTree tree = build_product_tree(values);
   EXPECT_EQ(tree.back().size(), 1u);
-  EXPECT_EQ(tree.back()[0], expected);
+  EXPECT_EQ(narrow(tree.back()[0]), expected);
   EXPECT_EQ(tree.front().size(), values.size());
 }
 
@@ -61,7 +69,7 @@ TEST(ProductTreeTest, SingleElementAndEmpty) {
   const std::vector<BigInt> one = {BigInt(17)};
   const ProductTree tree = build_product_tree(one);
   EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree[0][0], BigInt(17));
+  EXPECT_EQ(tree[0][0], BigInt64(17));
   EXPECT_THROW(build_product_tree({}), std::invalid_argument);
 }
 
@@ -74,9 +82,10 @@ TEST(RemainderTreeTest, LeavesAreRootModSquares) {
   const ProductTree tree = build_product_tree(values);
   const auto residues = remainder_tree_mod_squares(tree);
   ASSERT_EQ(residues.size(), values.size());
-  const BigInt& root = tree.back()[0];
+  const BigInt root = narrow(tree.back()[0]);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(residues[i], root % (values[i] * values[i])) << "leaf " << i;
+    EXPECT_EQ(narrow(residues[i]), root % (values[i] * values[i]))
+        << "leaf " << i;
   }
 }
 
@@ -87,8 +96,8 @@ TEST(RemainderLevelTest, EveryLevelIsTheRootModItsNodeSquares) {
     values.push_back(random_odd<std::uint32_t>(rng, 96));
   }
   const ProductTree tree = build_product_tree(values);
-  const BigInt& root = tree.back()[0];
-  std::vector<BigInt> residues(1, root);
+  const BigInt64& root = tree.back()[0];
+  std::vector<BigInt64> residues(1, root);
   for (std::size_t level = tree.size() - 1; level-- > 0;) {
     residues = remainder_level(residues, tree[level]);
     ASSERT_EQ(residues.size(), tree[level].size()) << "level " << level;
@@ -103,24 +112,25 @@ TEST(RemainderLevelTest, PromotedNodeTakesItsParentResidue) {
   // 5 nodes: node 4 is the odd one out, promoted unchanged to its parent.
   // Its parent's residue is already below 13², so the step passes it down
   // as is; every other node is reduced modulo its own square.
-  std::vector<BigInt> nodes;
-  for (int v : {3, 5, 7, 11, 13}) nodes.push_back(BigInt(unsigned(v)));
-  const std::vector<BigInt> parents = {BigInt(1000), BigInt(5000),
-                                       BigInt(168)};
+  std::vector<BigInt64> nodes;
+  for (int v : {3, 5, 7, 11, 13}) nodes.push_back(BigInt64(unsigned(v)));
+  const std::vector<BigInt64> parents = {BigInt64(1000), BigInt64(5000),
+                                         BigInt64(168)};
   const auto residues = remainder_level(parents, nodes);
   ASSERT_EQ(residues.size(), nodes.size());
-  EXPECT_EQ(residues[0], BigInt(1000 % 9));
-  EXPECT_EQ(residues[1], BigInt(1000 % 25));
-  EXPECT_EQ(residues[2], BigInt(5000 % 49));
-  EXPECT_EQ(residues[3], BigInt(5000 % 121));
-  EXPECT_EQ(residues[4], BigInt(168));
+  EXPECT_EQ(residues[0], BigInt64(1000 % 9));
+  EXPECT_EQ(residues[1], BigInt64(1000 % 25));
+  EXPECT_EQ(residues[2], BigInt64(5000 % 49));
+  EXPECT_EQ(residues[3], BigInt64(5000 % 121));
+  EXPECT_EQ(residues[4], BigInt64(168));
 }
 
 TEST(RemainderLevelTest, ShapeMismatchThrows) {
-  const std::vector<BigInt> nodes = {BigInt(3), BigInt(5), BigInt(7),
-                                     BigInt(11)};
-  const std::vector<BigInt> one_parent = {BigInt(100)};
-  const std::vector<BigInt> three_parents = {BigInt(1), BigInt(2), BigInt(3)};
+  const std::vector<BigInt64> nodes = {BigInt64(3), BigInt64(5), BigInt64(7),
+                                       BigInt64(11)};
+  const std::vector<BigInt64> one_parent = {BigInt64(100)};
+  const std::vector<BigInt64> three_parents = {BigInt64(1), BigInt64(2),
+                                               BigInt64(3)};
   EXPECT_THROW(remainder_level(one_parent, nodes), std::invalid_argument);
   EXPECT_THROW(remainder_level(three_parents, nodes), std::invalid_argument);
   EXPECT_THROW(remainder_tree_mod_squares(ProductTree{}),
@@ -145,14 +155,15 @@ TEST(RemainderLevelTest, PowerOfTwoPlusOneCorpusIsBitIdentical) {
   const ProductTree tree = build_product_tree(corpus.moduli);
   ASSERT_EQ(tree.size(), 7u);
   for (std::size_t level = 1; level + 1 < tree.size(); ++level) {
-    ASSERT_EQ(tree[level].back(), corpus.moduli[last]) << "level " << level;
+    ASSERT_EQ(tree[level].back(), wide(corpus.moduli[last]))
+        << "level " << level;
   }
-  const BigInt& root = tree.back()[0];
+  const BigInt root = narrow(tree.back()[0]);
   const auto residues = remainder_tree_mod_squares(tree);
   const BatchGcdResult result = batch_gcd(corpus.moduli);
   for (std::size_t i = 0; i < corpus.moduli.size(); ++i) {
     const BigInt& n = corpus.moduli[i];
-    EXPECT_EQ(residues[i], root % (n * n)) << "leaf " << i;
+    EXPECT_EQ(narrow(residues[i]), root % (n * n)) << "leaf " << i;
     EXPECT_EQ(result.gcds[i], gmp_gcd(n, root / n)) << "leaf " << i;
   }
   EXPECT_EQ(result.gcds[last], corpus.weak[0].shared_prime);
@@ -160,19 +171,31 @@ TEST(RemainderLevelTest, PowerOfTwoPlusOneCorpusIsBitIdentical) {
 
 TEST(RemainderLevelTest, DescentAcrossTheDivisionRungMatchesDirectReduction) {
   // 64 × 512-bit leaves: the upper levels divide by squares of thousands of
-  // bits, where BigInt % runs Burnikel–Ziegler; the leaf residues are
-  // checked against one direct reduction of the root per leaf, whose small
-  // divisors stay on Knuth D.
+  // bits, where BigInt64 % runs Burnikel–Ziegler; the leaf residues are
+  // checked against one direct 32-bit reduction of the root per leaf, whose
+  // small divisors stay on Knuth D.
   Xoshiro256 rng(127);
   std::vector<BigInt> values;
   for (int i = 0; i < 64; ++i) {
     values.push_back(random_odd<std::uint32_t>(rng, 512));
   }
   const ProductTree tree = build_product_tree(values);
-  const BigInt& root = tree.back()[0];
+  // The step below the root's children meets BigIntT::divmod's BZ rule at
+  // 64-bit limbs: divisors of at least 2·threshold limbs, quotients of at
+  // least threshold limbs.
+  const auto& top = tree[tree.size() - 2];
+  const BigInt64 dividend = tree.back()[0] % (top[0] * top[0]);
+  for (std::size_t i = 0; i < 2; ++i) {  // top[0]'s children
+    const BigInt64& node = tree[tree.size() - 3][i];
+    const std::size_t divisor = (node * node).size();
+    ASSERT_GE(divisor, 2 * mp::kBurnikelZieglerThreshold);
+    ASSERT_GE(dividend.size() - divisor, mp::kBurnikelZieglerThreshold);
+  }
+  const BigInt root = narrow(tree.back()[0]);
   const auto residues = remainder_tree_mod_squares(tree);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(residues[i], root % (values[i] * values[i])) << "leaf " << i;
+    EXPECT_EQ(narrow(residues[i]), root % (values[i] * values[i]))
+        << "leaf " << i;
   }
 }
 
@@ -337,6 +360,43 @@ TEST_F(BatchResumeTest, SingleLevelSlicesReachTheSameGcds) {
   EXPECT_EQ(report.result.gcds, direct.gcds);
 }
 
+TEST_F(BatchResumeTest, JournalBytesAndGcdsArePinned) {
+  // The journal's bytes are a contract: a checkpoint written by one build
+  // must resume under any other. 21 × 1024-bit leaves make promoted nodes
+  // at three levels, an 8192 × 8192-bit product on Toom-3 and descent
+  // divisions on Burnikel–Ziegler at 32- and 64-bit limbs. The run stops
+  // mid-descent and resumes, so the pinned file is also a resumed one.
+  rsa::CorpusSpec spec;
+  spec.count = 21;
+  spec.modulus_bits = 1024;
+  spec.weak_pairs = 3;
+  spec.seed = 218;
+  spec.backend = rsa::CorpusBackend::kNative;
+  const auto corpus = rsa::generate_corpus(spec);
+
+  BatchScanConfig config;
+  config.checkpoint = path_;
+  config.stop_after_levels = 7;
+  const BatchScanReport first = run_resumable_batch(corpus.moduli, config);
+  ASSERT_FALSE(first.complete);
+  config.stop_after_levels = 0;
+  const BatchScanReport report = run_resumable_batch(corpus.moduli, config);
+  ASSERT_TRUE(report.complete);
+  ASSERT_TRUE(report.resumed);
+
+  std::ifstream in(path_, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const char c : bytes) {
+    digest = (digest ^ std::uint8_t(c)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 39867u);
+  EXPECT_EQ(digest, 0xb31bb732c4363f56ULL);
+  EXPECT_EQ(rsa::corpus_digest(report.result.gcds), 0xe669303080a0aa74ULL);
+  EXPECT_EQ(weak_indices(report.result).size(), 6u);
+}
+
 TEST_F(BatchResumeTest, CompletedJournalReplaysWithoutRecompute) {
   const auto corpus = test_corpus(14, 2, 204);
   BatchScanConfig config;
@@ -495,8 +555,10 @@ TEST(BatchJournalTest, ReplayRoundTripsAllRecordKinds) {
   std::filesystem::remove(tmp, ignored);
 
   const std::vector<BigInt> moduli = {BigInt(15), BigInt(21), BigInt(17 * 19)};
-  const std::vector<BigInt> level1 = {BigInt(0x123456789abcULL), BigInt(0)};
-  const std::vector<BigInt> residues = {BigInt(7), BigInt(11), BigInt(13)};
+  const std::vector<BigInt64> level1 = {BigInt64(0x123456789abcULL),
+                                        BigInt64(0)};
+  const std::vector<BigInt64> residues = {BigInt64(7), BigInt64(11),
+                                          BigInt64(13)};
   const std::vector<BigInt> gcds = {BigInt(1), BigInt(1), BigInt(17)};
   {
     BatchJournal journal(tmp, moduli);

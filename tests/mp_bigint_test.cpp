@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "gmp_oracle.hpp"
 #include "mp/karatsuba.hpp"
 
@@ -129,6 +133,45 @@ TEST(BigIntTest, ShiftOperatorsComposeWithArithmetic) {
     const std::size_t k = rng.below(70);
     EXPECT_EQ((a << k) >> k, a);
     EXPECT_EQ(a << k, a * (BigInt(1) << k));
+  }
+}
+
+template <typename Limb>
+class RepackLimbsTest : public ::testing::Test {};
+using LimbTypes = ::testing::Types<std::uint16_t, std::uint32_t, std::uint64_t>;
+TYPED_TEST_SUITE(RepackLimbsTest, LimbTypes);
+
+/// src → Dst → Src keeps the value (checked against GMP) and comes back as
+/// the normalized source limbs.
+template <LimbType Dst, LimbType Src>
+void expect_round_trip(const std::vector<Src>& src) {
+  const auto value = BigIntT<Src>::from_limbs(src);
+  const std::vector<Dst> packed = repack_limbs<Dst>(std::span<const Src>(src));
+  EXPECT_TRUE(packed.empty() || packed.back() != 0) << "normalized";
+  EXPECT_EQ(to_mpz(BigIntT<Dst>::from_limbs(packed)), to_mpz(value));
+  EXPECT_EQ(repack<Dst>(value).limbs().size(), packed.size());
+  const std::vector<Src> back = repack_limbs<Src>(std::span<const Dst>(packed));
+  EXPECT_TRUE(std::equal(back.begin(), back.end(), value.limbs().begin(),
+                         value.limbs().end()));
+}
+
+TYPED_TEST(RepackLimbsTest, RoundTripsThroughEveryWidth) {
+  using Limb = TypeParam;
+  constexpr Limb kOnes = Limb(~Limb{0});
+  std::vector<std::vector<Limb>> cases = {
+      {}, {0}, {0, 0, 0}, {1}, {1, 0, 0}, {kOnes}, {kOnes, kOnes, 0}};
+  Xoshiro256 rng(27);
+  for (std::size_t bits : {1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200, 1024}) {
+    const auto v = random_value<Limb>(rng, bits);
+    std::vector<Limb> limbs(v.limbs().begin(), v.limbs().end());
+    cases.push_back(limbs);
+    limbs.insert(limbs.end(), {Limb{0}, Limb{0}});  // high zero limbs
+    cases.push_back(limbs);
+  }
+  for (const auto& limbs : cases) {
+    expect_round_trip<std::uint16_t>(limbs);
+    expect_round_trip<std::uint32_t>(limbs);
+    expect_round_trip<std::uint64_t>(limbs);
   }
 }
 

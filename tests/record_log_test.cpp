@@ -212,6 +212,31 @@ TEST(RecordLogTest, WriterAndCursorRoundTripEveryEncoding) {
   EXPECT_FALSE(c.u8(a)) << "reads past the end fail";
 }
 
+TEST(RecordLogTest, LimbEncodingIsTheSameFromEveryLimbWidth) {
+  // The batch tree journals its 64-bit levels straight from their limbs:
+  // the bytes must be the 32-bit encoding, an odd 32-bit word count
+  // included, and read back into either width.
+  for (const char* hex : {"0", "1", "ffffffff", "100000000",
+                          "1234567890abcdef0123456789",
+                          "fedcba9876543210fedcba9876543210"}) {
+    const BigInt narrow = BigInt::from_hex(hex);
+    const auto wide = mp::repack<std::uint64_t>(narrow);
+    RecordWriter from32, from64;
+    from32.bigint_limbs(narrow);
+    from64.bigint_limbs(wide);
+    EXPECT_EQ(from64.bytes(), from32.bytes()) << hex;
+    EXPECT_EQ(from32.bytes().size(), 4 + 4 * narrow.size()) << hex;
+
+    mp::BigInt64 back64;
+    BigInt back32;
+    Cursor c64(from32.bytes()), c32(from64.bytes());
+    ASSERT_TRUE(c64.bigint_limbs(back64) && c32.bigint_limbs(back32)) << hex;
+    EXPECT_EQ(back64, wide) << hex;
+    EXPECT_EQ(back32, narrow) << hex;
+    EXPECT_TRUE(c64.done() && c32.done()) << hex;
+  }
+}
+
 TEST(RecordLogTest, CountsTheBytesLeftCannotHoldAreRefused) {
   RecordWriter out;
   out.u32(3);  // three 4-byte elements follow: fits exactly

@@ -165,7 +165,7 @@ TEST(StagedCorpusTest, GrowthRestagesAndMatchesScanCorpusView) {
   }
 
   // The rebuilt panels are the one-shot panels at the grown padding.
-  const CorpusPanels<ScanLimb> oneshot(moduli, staged.group_size(),
+  const CorpusPanels<ScanLimb> oneshot(scan, staged.group_size(),
                                        staged.panels().padded_limbs());
   const auto& live = staged.panels();
   ASSERT_EQ(live.corpus_size(), oneshot.corpus_size());

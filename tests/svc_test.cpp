@@ -239,6 +239,52 @@ TEST(IntakeParserTest, RecordsSplitAcrossFeedChunksReassemble) {
   EXPECT_EQ(records[1].n, BigInt(0xcee1));
 }
 
+TEST(IntakeParserTest, OverlongLineIsOneRejectAndParsingResyncs) {
+  IntakeParser parser;
+  parser.feed("cee1\n");
+  const std::string junk(3 << 20, 'a');  // 3 MiB without a newline
+  parser.feed(junk);
+  parser.feed(junk);
+  auto records = parser.drain();
+  ASSERT_EQ(records.size(), 2u) << "the reject comes at the cap, not the newline";
+  EXPECT_TRUE(records[0].ok);
+  EXPECT_FALSE(records[1].ok);
+  EXPECT_EQ(records[1].line, 2u);
+  EXPECT_NE(records[1].error.find("over"), std::string::npos);
+  parser.feed("-----END PUBLIC KEY-----\nc3\n");  // the tail of the line
+  parser.feed(junk);                                // overlong again, at EOF
+  records = parser.finish();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_TRUE(records[0].ok);
+  EXPECT_EQ(records[0].n, BigInt(0xc3));
+  EXPECT_EQ(records[0].line, 3u);
+  EXPECT_FALSE(records[1].ok);
+  EXPECT_EQ(parser.lines_seen(), 4u);
+}
+
+TEST(IntakeParserTest, OversizedPemBlockIsOneRejectAndParsingResyncs) {
+  const rsa::PublicKey key{BigInt(0xcee1), BigInt(3)};
+  std::string input = "-----BEGIN PUBLIC KEY-----\n";
+  const std::string body = std::string(64, 'A') + "\n";
+  while (input.size() < 2 * IntakeParser::kMaxRecordBytes) input += body;
+  input += "-----END PUBLIC KEY-----\n";
+  input += rsa::pem_encode_public_key(key);
+  IntakeParser parser;
+  parser.feed(input);
+  // An unterminated block whose one line runs for MiBs.
+  parser.feed("-----BEGIN PUBLIC KEY-----\n");
+  parser.feed(std::string(3 << 20, 'A'));
+  const auto records = parser.finish();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_FALSE(records[0].ok);
+  EXPECT_EQ(records[0].line, 1u) << "reject anchored at the BEGIN line";
+  EXPECT_NE(records[0].error.find("PEM block over"), std::string::npos);
+  EXPECT_TRUE(records[1].ok);
+  EXPECT_EQ(records[1].n, BigInt(0xcee1));
+  EXPECT_FALSE(records[2].ok);
+  EXPECT_NE(records[2].error.find("PEM block over"), std::string::npos);
+}
+
 // ---- IntakeService ---------------------------------------------------------
 
 IntakeServiceConfig probe_config(bulk::BulkBackend backend,
