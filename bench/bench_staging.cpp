@@ -35,11 +35,10 @@ struct SweepSample {
 };
 
 SweepSample sweep_once(std::span<const bulkgcd::mp::BigInt> moduli,
-                       bool staged, bulkgcd::bulk::BulkBackend backend,
+                       bulkgcd::bulk::BulkBackend backend,
                        bulkgcd::obs::MetricsRegistry* metrics = nullptr,
                        std::size_t pool_threads = 0) {
   bulkgcd::bulk::AllPairsConfig config;
-  config.staged = staged;
   config.backend = backend;
   config.metrics = metrics;
   config.pool_threads = pool_threads;
@@ -58,11 +57,11 @@ void take_best(SweepSample& best, const SweepSample& sample) {
   if (best.seconds == 0.0 || sample.seconds < best.seconds) best = sample;
 }
 
-SweepSample measure(std::span<const bulkgcd::mp::BigInt> moduli, bool staged,
+SweepSample measure(std::span<const bulkgcd::mp::BigInt> moduli,
                     bulkgcd::bulk::BulkBackend backend, std::size_t reps) {
   SweepSample best;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    take_best(best, sweep_once(moduli, staged, backend));
+    take_best(best, sweep_once(moduli, backend));
   }
   return best;
 }
@@ -97,9 +96,9 @@ int main() {
   // Pin each row to its backend explicitly so the comparison is meaningful
   // regardless of what auto-dispatch would pick on this machine.
   const SweepSample unstaged =
-      measure(moduli, /*staged=*/false, bulk::BulkBackend::kLockstep, reps);
+      measure(moduli, bulk::BulkBackend::kLockstep, reps);
   const SweepSample vectorized =
-      measure(moduli, /*staged=*/true, bulk::BulkBackend::kVector, reps);
+      measure(moduli, bulk::BulkBackend::kVector, reps);
   // Resolved ISA of the vector row (portable everywhere, avx2 on capable
   // x86-64) — recorded so archived numbers are comparable across machines.
   bulk::AllPairsConfig isa_probe;
@@ -114,11 +113,9 @@ int main() {
   SweepSample staged, instrumented;
   auto interleaved_round = [&] {
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      take_best(staged,
-                sweep_once(moduli, /*staged=*/true, bulk::BulkBackend::kStaged));
+      take_best(staged, sweep_once(moduli, bulk::BulkBackend::kStaged));
       take_best(instrumented,
-                sweep_once(moduli, /*staged=*/true, bulk::BulkBackend::kStaged,
-                           &registry));
+                sweep_once(moduli, bulk::BulkBackend::kStaged, &registry));
     }
   };
   auto overhead = [&] {
@@ -218,9 +215,8 @@ int main() {
     for (std::size_t k = 0; k < worker_counts.size(); ++k) {
       SweepSample best;
       for (std::size_t rep = 0; rep < reps; ++rep) {
-        take_best(best, sweep_once(moduli, /*staged=*/true,
-                                   bulk::BulkBackend::kVector, nullptr,
-                                   worker_counts[k]));
+        take_best(best, sweep_once(moduli, bulk::BulkBackend::kVector,
+                                   nullptr, worker_counts[k]));
       }
       scaling[k] = best;
       const double rel = scaling[0].pairs_per_second > 0

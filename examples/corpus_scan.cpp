@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
 
   // Method 1: bulk pairwise GCD (the paper).
   bulk::AllPairsConfig config;
-  config.engine = bulk::EngineKind::kSimt;
   const bulk::AllPairsResult pairwise = bulk::all_pairs_gcd(corpus.moduli, config);
 
   // Method 2: batch GCD (product + remainder tree).

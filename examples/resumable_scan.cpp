@@ -10,7 +10,9 @@
 //   --checkpoint <path>    checkpoint journal (default: <corpus>.ckpt)
 //   --chunk-blocks <n>     blocks per durable work unit (default 64)
 //   --group-size <r>       moduli per block group (default 64)
-//   --engine simt|scalar   bulk engine (default simt)
+//   --backend auto|scalar|lockstep|staged|vector   bulk backend
+//                          (default auto; the SIMT backends share
+//                          checkpoints, scalar keeps its own)
 //   --threads <n>          worker threads (default: hardware; 1 = inline)
 //   --tile-blocks <n>      blocks per work-stealing scheduler tile
 //                          (default 0 = auto; purely a scheduling knob —
@@ -46,7 +48,8 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [<moduli-file>] [--generate <count> <bits> <weak>]\n"
                "          [--checkpoint <path>] [--chunk-blocks <n>]\n"
-               "          [--group-size <r>] [--engine simt|scalar]\n"
+               "          [--group-size <r>]\n"
+               "          [--backend auto|scalar|lockstep|staged|vector]\n"
                "          [--threads <n>] [--tile-blocks <n>]\n"
                "          [--stop-after <n>]\n"
                "          [--discard-checkpoint]\n"
@@ -105,15 +108,10 @@ int main(int argc, char** argv) {
       config.chunk_blocks = next_u64("--chunk-blocks");
     } else if (arg == "--group-size") {
       config.pairs.group_size = next_u64("--group-size");
-    } else if (arg == "--engine") {
-      const std::string engine = next("--engine");
-      if (engine == "simt") {
-        config.pairs.engine = bulk::EngineKind::kSimt;
-      } else if (engine == "scalar") {
-        config.pairs.engine = bulk::EngineKind::kScalar;
-      } else {
-        return usage(argv[0]);
-      }
+    } else if (arg == "--backend") {
+      const auto backend = bulk::parse_backend(next("--backend"));
+      if (!backend) return usage(argv[0]);
+      config.pairs.backend = *backend;
     } else if (arg == "--threads") {
       config.pairs.pool_threads = next_u64("--threads");
     } else if (arg == "--tile-blocks") {

@@ -7,35 +7,9 @@
 
 #include "bulk/block_grid.hpp"
 #include "bulk/tile_scheduler.hpp"
-#include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 
 namespace bulkgcd::bulk {
-
-namespace {
-
-/// Shared thread-placement contract of the sharded sweeps: pool_threads 1 =
-/// inline on the caller (pool stays null, the scheduler runs serial), 0 =
-/// one worker per global-pool thread, N = a private pool of N workers.
-struct SweepExecutor {
-  std::optional<ThreadPool> local_pool;
-  ThreadPool* pool = nullptr;
-  std::size_t workers = 1;
-
-  explicit SweepExecutor(std::size_t pool_threads) {
-    if (pool_threads == 1) return;
-    if (pool_threads == 0) {
-      pool = &global_pool();
-      workers = pool->size();
-    } else {
-      local_pool.emplace(pool_threads);
-      pool = &*local_pool;
-      workers = pool_threads;
-    }
-  }
-};
-
-}  // namespace
 
 AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
                              const AllPairsConfig& config) {
@@ -60,7 +34,7 @@ AllPairsResult all_pairs_gcd(std::span<const mp::BigInt> moduli,
   // worker's sweeper then refreshes its batch from the shared read-only
   // panels.
   std::optional<CorpusPanels<ScanLimb>> panels;
-  if (cfg.engine == EngineKind::kSimt && cfg.staged) {
+  if (uses_panels(cfg.backend)) {
     panels.emplace(scan, grid.r, cap + kBatchPadLimbs);
   }
 
@@ -187,7 +161,7 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
     }
   };
 
-  // Per-worker probe state: one engine of the configured kind plus local
+  // Per-worker probe state: the one engine cfg.backend names plus local
   // hit/pair accumulators, created lazily on the worker's first tile and
   // reused across every tile it runs (home run + steals). Worker batches
   // start with zeroed statistics; after the schedule their accumulated
@@ -212,22 +186,20 @@ std::vector<IncrementalHit> probe_corpus(const mp::BigInt& candidate,
   sched.run(exec.pool, [&](std::size_t w, const TileRange& t) {
     auto& worker = workers[w];
     if (!worker) worker = std::make_unique<ProbeWorker>();
-    if (cfg.engine == EngineKind::kSimt) {
-      if (cfg.backend == BulkBackend::kVector) {
-        if (!worker->vec) {
-          worker->vec =
-              make_vec_batch<ScanLimb>(r, cap, cfg.warp_width, cfg.vec_isa);
-        }
-        probe_blocks(*worker->vec, t.lo, t.hi, worker->hits,
-                     worker->work.pairs_tested);
-      } else {
-        if (!worker->simt) {
-          worker->simt = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
-              r, cap, cfg.warp_width);
-        }
-        probe_blocks(*worker->simt, t.lo, t.hi, worker->hits,
-                     worker->work.pairs_tested);
+    if (cfg.backend == BulkBackend::kVector) {
+      if (!worker->vec) {
+        worker->vec =
+            make_vec_batch<ScanLimb>(r, cap, cfg.warp_width, cfg.vec_isa);
       }
+      probe_blocks(*worker->vec, t.lo, t.hi, worker->hits,
+                   worker->work.pairs_tested);
+    } else if (cfg.backend != BulkBackend::kScalar) {
+      if (!worker->simt) {
+        worker->simt = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
+            r, cap, cfg.warp_width);
+      }
+      probe_blocks(*worker->simt, t.lo, t.hi, worker->hits,
+                   worker->work.pairs_tested);
     } else {
       if (!worker->scalar_engine) {
         worker->scalar_engine = std::make_unique<gcd::GcdEngine<ScanLimb>>(cap);
@@ -289,7 +261,7 @@ std::vector<IncrementalHit> probe_incremental(const mp::BigInt& candidate,
   // Stage the corpus once; each probe block then refreshes its batch with a
   // bulk panel copy + candidate broadcast (group g == probe block g).
   std::optional<CorpusPanels<ScanLimb>> panels;
-  if (cfg.engine == EngineKind::kSimt && cfg.staged) {
+  if (uses_panels(cfg.backend)) {
     panels.emplace(scan, r, scan.max_limbs() + kBatchPadLimbs);
   }
   return probe_corpus(candidate, scan, r, panels ? &*panels : nullptr, cfg,
@@ -311,8 +283,7 @@ std::vector<IncrementalHit> probe_incremental(const mp::BigInt& candidate,
   // is NOT clamped to the corpus size (tail lanes run disabled), which is
   // value-identical: r only shapes batching, never which pairs run.
   const CorpusPanels<ScanLimb>* panels =
-      (cfg.engine == EngineKind::kSimt && cfg.staged) ? &corpus.panels()
-                                                      : nullptr;
+      uses_panels(cfg.backend) ? &corpus.panels() : nullptr;
   return probe_corpus(candidate, corpus, corpus.group_size(), panels, cfg,
                       stats);
 }

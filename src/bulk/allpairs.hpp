@@ -27,14 +27,8 @@ class TraceRecorder;
 
 namespace bulkgcd::bulk {
 
-enum class EngineKind {
-  kScalar,  ///< one GcdEngine per worker, pair by pair (the CPU column)
-  kSimt,    ///< warp-lockstep batches, column-wise layout (the GPU analogue)
-};
-
 struct AllPairsConfig {
   gcd::Variant variant = gcd::Variant::kApproximate;
-  EngineKind engine = EngineKind::kSimt;
   bool early_terminate = true;  ///< Section V termination for RSA moduli
   std::size_t group_size = 64;  ///< r: moduli per group == lanes per block
   std::size_t warp_width = 32;
@@ -47,19 +41,14 @@ struct AllPairsConfig {
   /// bit-identical across tile shapes and worker counts, so neither is part
   /// of the checkpoint identity.
   std::size_t tile_blocks = 0;
-  /// Stage the corpus once into column-major CorpusPanels and refresh each
-  /// SIMT batch by bulk panel copy + lane-serial execution (the CUDA kernel
-  /// shape) instead of r per-lane loads + lockstep rounds. Bit-identical
-  /// hits, GCDs, and statistics — asserted by the staging differential
-  /// tests; the unstaged path stays available as the reference. Ignored by
-  /// the scalar engine.
-  bool staged = true;
-  /// Execution backend for the SIMT engine's blocks (bulk/backend.hpp).
-  /// kAuto resolves at runtime: the vector backend when the CPU supports a
-  /// compiled-in SIMD leg (and staging is on), else the staged scalar path.
-  /// Overridable without recompiling via BULKGCD_FORCE_BACKEND =
-  /// auto | lockstep | staged | vector | vector-portable. Bit-identical
-  /// results across backends, so NOT part of the checkpoint identity.
+  /// The engine every block runs on (bulk/backend.hpp): scalar pair by
+  /// pair, or a SIMT batch refreshed by per-lane loads (lockstep) or by
+  /// bulk copies from corpus panels staged once (staged, vector). kAuto
+  /// resolves at runtime to vector when the CPU supports a compiled-in SIMD
+  /// leg, else staged. Overridable without recompiling via
+  /// BULKGCD_FORCE_BACKEND = auto | scalar | lockstep | staged | vector |
+  /// vector-portable. The SIMT backends give bit-identical results, so the
+  /// checkpoint identity records only whether the backend is scalar.
   BulkBackend backend = BulkBackend::kAuto;
   /// Vector ISA when backend resolves to kVector; kAuto = cpuid probe.
   VecIsa vec_isa = VecIsa::kAuto;
@@ -96,8 +85,8 @@ struct AllPairsResult {
   std::uint64_t blocks_run = 0;
   std::uint64_t input_bytes = 0;   ///< host→device traffic a GPU would pay
   double seconds = 0.0;            ///< wall-clock for the whole sweep
-  SimtStats simt;                  ///< filled for EngineKind::kSimt
-  gcd::GcdStats scalar;            ///< filled for EngineKind::kScalar
+  SimtStats simt;                  ///< filled by the SIMT backends
+  gcd::GcdStats scalar;            ///< filled by BulkBackend::kScalar
   double micros_per_gcd() const noexcept {
     return pairs_tested == 0 ? 0.0 : seconds * 1e6 / double(pairs_tested);
   }
@@ -106,8 +95,8 @@ struct AllPairsResult {
 /// Resolve config.backend / config.vec_isa in place: applies the
 /// BULKGCD_FORCE_BACKEND environment override (throws std::invalid_argument
 /// on an unknown value), then collapses kAuto to a concrete backend for this
-/// process (vector iff a SIMD leg is compiled in AND the CPU supports it and
-/// the config is staged-SIMT; staged or lockstep otherwise). all_pairs_gcd,
+/// process (vector iff a SIMD leg is compiled in AND the CPU supports it,
+/// staged otherwise) and kAuto vec_isa to the probed ISA. all_pairs_gcd,
 /// probe_incremental, and the scan driver call this once per run; it is
 /// exposed so benches and tests can pin or inspect the resolution.
 void resolve_backend(AllPairsConfig& config);
@@ -135,8 +124,8 @@ struct IncrementalHit {
 /// stats — the probe path feeds telemetry like the full sweep does.
 struct ProbeStats {
   std::uint64_t pairs_tested = 0;  ///< candidate × corpus pairs executed
-  SimtStats simt;                  ///< filled for EngineKind::kSimt
-  gcd::GcdStats scalar;            ///< filled for EngineKind::kScalar
+  SimtStats simt;                  ///< filled by the SIMT backends
+  gcd::GcdStats scalar;            ///< filled by BulkBackend::kScalar
 };
 
 std::vector<IncrementalHit> probe_incremental(

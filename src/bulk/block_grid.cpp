@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -64,13 +66,24 @@ BlockSweeper::BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
     : corpus_(&corpus),
       grid_(grid),
       config_(config),
-      panels_(panels),
-      scalar_engine_(capacity_limbs),
-      batch_(grid.r, capacity_limbs, config.warp_width) {
-  if (config.engine == EngineKind::kSimt &&
-      config.backend == BulkBackend::kVector) {
-    vec_ = make_vec_batch<ScanLimb>(grid.r, capacity_limbs, config.warp_width,
-                                    config.vec_isa);
+      panels_(panels) {
+  if (uses_panels(config.backend) != (panels != nullptr)) {
+    throw std::invalid_argument(
+        std::string("BlockSweeper: backend ") + to_string(config.backend) +
+        (panels ? " takes no corpus panels" : " needs corpus panels"));
+  }
+  switch (config.backend) {
+    case BulkBackend::kScalar:
+      scalar_ = std::make_unique<gcd::GcdEngine<ScanLimb>>(capacity_limbs);
+      break;
+    case BulkBackend::kVector:
+      vec_ = make_vec_batch<ScanLimb>(grid.r, capacity_limbs,
+                                      config.warp_width, config.vec_isa);
+      break;
+    default:
+      batch_ = std::make_unique<SimtBatch<ScanLimb, ColumnMatrix>>(
+          grid.r, capacity_limbs, config.warp_width);
+      break;
   }
   if (config.metrics != nullptr) {
     obs::MetricsRegistry* m = config.metrics;
@@ -211,7 +224,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
   const std::size_t r = grid_.r;
   const std::size_t i_begin = i * r, i_end = std::min(i_begin + r, grid_.m);
   const std::size_t j_begin = j * r, j_end = std::min(j_begin + r, grid_.m);
-  const bool staged = config_.staged && panels_ != nullptr;
+  const bool staged = panels_ != nullptr;
 
   // Block-local telemetry tallies, flushed into the sharded counters once
   // per block (a handful of adds) so the pair loops stay increment-free.
@@ -233,14 +246,12 @@ void BlockSweeper::run_block(std::size_t block_index) {
     out_.hits.push_back({a, b, to_default_bigint<ScanLimb>(gl), full});
   };
 
-  if (config_.engine == EngineKind::kSimt) {
-    if (vec_) {
-      simt_block_rounds(*vec_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
-                        staged, record, early_coprime);
-    } else {
-      simt_block_rounds(batch_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
-                        staged, record, early_coprime);
-    }
+  if (vec_) {
+    simt_block_rounds(*vec_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
+                      staged, record, early_coprime);
+  } else if (batch_) {
+    simt_block_rounds(*batch_, i, i_begin, j, j_begin, j_end, i_end - i_begin,
+                      staged, record, early_coprime);
   } else {
     for (std::size_t jj = j_begin; jj < j_end; ++jj) {
       const std::size_t u = jj - j_begin;
@@ -255,7 +266,7 @@ void BlockSweeper::run_block(std::size_t block_index) {
       for (std::size_t k = 0; k < k_end; ++k) {
         ++out_.pairs;
         const std::uint64_t iters_before = out_.scalar.iterations;
-        const auto run = scalar_engine_.run(
+        const auto run = scalar_->run(
             config_.variant, corpus_->limbs(i_begin + k), corpus_->limbs(jj),
             pair_early_bits(i_begin + k, jj), &out_.scalar);
         if (tele_) {
@@ -281,14 +292,12 @@ void BlockSweeper::run_block(std::size_t block_index) {
 }
 
 BlockSweeper::Output BlockSweeper::take() {
-  if (config_.engine == EngineKind::kSimt) {
-    if (vec_) {
-      out_.simt = vec_->stats();
-      vec_->reset_stats();
-    } else {
-      out_.simt = batch_.stats();
-      batch_.reset_stats();
-    }
+  if (vec_) {
+    out_.simt = vec_->stats();
+    vec_->reset_stats();
+  } else if (batch_) {
+    out_.simt = batch_->stats();
+    batch_->reset_stats();
   }
   if (tele_) {
     tele_->iterations_per_pair_target->merge(tele_->iterations_per_pair);

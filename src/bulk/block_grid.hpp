@@ -70,7 +70,7 @@ struct BlockGrid {
 void fold_engine_stats(obs::MetricsRegistry* metrics, const SimtStats& simt,
                        const gcd::GcdStats& scalar);
 
-/// Per-worker sweep state: one scalar engine + one SIMT batch, reused across
+/// Per-worker sweep state: the one engine config.backend names, reused across
 /// the blocks a worker processes. Accumulates hits, pair counts, and engine
 /// statistics; take() hands them over and resets.
 class BlockSweeper {
@@ -86,12 +86,12 @@ class BlockSweeper {
   /// carrying normalized limb spans and cached bit lengths so per-pair
   /// thresholds are O(1). Must outlive the sweeper.
   /// config must be pre-resolved (resolve_backend) — the sweeper constructs
-  /// the engine config.backend names and never re-probes the CPU.
-  /// panels: optional staged corpus (built once per scan with the same grid
-  /// and capacity_limbs + kBatchPadLimbs padding). When non-null and the
-  /// config selects the staged SIMT or vector path, each block round
-  /// refreshes the batch by bulk panel copy + broadcast instead of per-lane
-  /// loads.
+  /// only the engine config.backend names and never re-probes the CPU.
+  /// panels: the staged corpus (built once per scan with the same grid and
+  /// capacity_limbs + kBatchPadLimbs padding), non-null iff
+  /// uses_panels(config.backend); each block round then refreshes the batch
+  /// by bulk panel copy + broadcast instead of per-lane loads. Throws
+  /// std::invalid_argument when the two disagree.
   BlockSweeper(const ScanCorpus& corpus, const BlockGrid& grid,
                const AllPairsConfig& config, std::size_t capacity_limbs,
                const CorpusPanels<ScanLimb>* panels = nullptr);
@@ -158,10 +158,11 @@ class BlockSweeper {
   BlockGrid grid_;
   AllPairsConfig config_;
   const CorpusPanels<ScanLimb>* panels_;
-  gcd::GcdEngine<ScanLimb> scalar_engine_;
-  SimtBatch<ScanLimb, ColumnMatrix> batch_;
-  /// The SIMD warp engine, constructed only when config.backend resolved to
-  /// kVector; run_block then drives it instead of batch_.
+  /// Exactly one engine is built, picked by config.backend: the scalar
+  /// engine (kScalar), the SIMD warp engine (kVector), or the SIMT batch
+  /// (kLockstep, kStaged).
+  std::unique_ptr<gcd::GcdEngine<ScanLimb>> scalar_;
+  std::unique_ptr<SimtBatch<ScanLimb, ColumnMatrix>> batch_;
   std::unique_ptr<VecBatchBase<ScanLimb>> vec_;
   Output out_;
   std::unique_ptr<Telemetry> tele_;  ///< null on the null-registry path

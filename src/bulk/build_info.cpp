@@ -15,12 +15,13 @@ BuildInfo query_build_info() {
   BuildInfo info;
   info.version = BULKGCD_VERSION;
   info.limb_bits = int(sizeof(ScanLimb) * 8);
-  info.compiled_backends = {"lockstep", "staged", "vector-portable"};
+  info.compiled_backends = {"scalar", "lockstep", "staged",
+                           "vector-portable"};
 #if defined(BULKGCD_HAVE_AVX2_TU)
   info.compiled_backends.push_back("vector-avx2");
 #endif
-  // What a default scan would actually run here: resolve a staged-SIMT
-  // config the same way all_pairs_gcd does (environment override + CPU
+  // What a default scan would actually run here: resolve a default config
+  // the same way all_pairs_gcd does (environment override + CPU
   // probe). resolve_backend throws only on a malformed BULKGCD_FORCE_BACKEND
   // value; report that instead of crashing a status probe.
   try {

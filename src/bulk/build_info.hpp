@@ -14,10 +14,10 @@ struct BuildInfo {
   std::string version;        ///< project version (CMake PROJECT_VERSION)
   int limb_bits = 0;          ///< ScanLimb width: 32 or 64
   /// Every backend leg compiled into this binary, in dispatch-preference
-  /// order ("lockstep", "staged", "vector-portable", "vector-avx2" when the
-  /// AVX2 TU is built in).
+  /// order ("scalar", "lockstep", "staged", "vector-portable", "vector-avx2"
+  /// when the AVX2 TU is built in).
   std::vector<std::string> compiled_backends;
-  /// The backend a default staged-SIMT config resolves to on THIS machine
+  /// The backend a default config resolves to on THIS machine
   /// right now — CPU probe plus the BULKGCD_FORCE_BACKEND override, exactly
   /// what a scan launched here would run.
   std::string active_backend;

@@ -11,7 +11,6 @@
 #include "bulk/block_grid.hpp"
 #include "bulk/tile_scheduler.hpp"
 #include "core/record_log.hpp"
-#include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -349,11 +348,9 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
     return std::pair(lo, std::min(lo + chunk_blocks, total_blocks));
   };
 
-  // Stage the corpus once for the whole scan. Deliberately NOT part of the
-  // journal identity: staged and unstaged sweeps produce bit-identical
-  // results, so a checkpoint written by one resumes under the other.
+  // Stage the corpus once for the whole scan when the backend rides panels.
   std::optional<CorpusPanels<ScanLimb>> panels;
-  if (pairs_cfg.engine == EngineKind::kSimt && pairs_cfg.staged) {
+  if (uses_panels(pairs_cfg.backend)) {
     panels.emplace(scan, grid.r, cap + kBatchPadLimbs);
   }
 
@@ -367,7 +364,9 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   identity.group_size = grid.r;
   identity.chunk_blocks = chunk_blocks;
   identity.chunks_total = chunks_total;
-  identity.engine = std::uint32_t(config.pairs.engine);
+  // 0 = the scalar engine, 1 = any SIMT backend: those commit bit-identical
+  // chunks, so a checkpoint written under one resumes under any other.
+  identity.engine = pairs_cfg.backend == BulkBackend::kScalar ? 0 : 1;
   identity.variant = std::uint32_t(config.pairs.variant);
   identity.early_terminate = config.pairs.early_terminate ? 1 : 0;
 
@@ -457,9 +456,10 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
         AllPairsConfig pairs_config = pairs_cfg;
         // Retry runs on the scalar engine: the simplest code path, isolated
         // from whatever state the first attempt died in.
-        if (attempt == 1) pairs_config.engine = EngineKind::kScalar;
+        if (attempt == 1) pairs_config.backend = BulkBackend::kScalar;
         BlockSweeper sweeper(scan, grid, pairs_config, cap,
-                             attempt == 0 && panels ? &*panels : nullptr);
+                             uses_panels(pairs_config.backend) ? &*panels
+                                                               : nullptr);
         sweeper.run_blocks(lo, hi);
         auto out = sweeper.take();
         outcome.hits = std::move(out.hits);
@@ -587,24 +587,17 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
   // and the torn-tail recovery rule is untouched — the checkpoint parser
   // indexes records by chunk, never by position.
   if (launch_total > 0) {
-    if (config.pairs.pool_threads == 1) {
+    SweepExecutor exec(config.pairs.pool_threads);
+    if (exec.pool == nullptr) {
       for (std::size_t k = 0; k < launch_total; ++k) {
         commit(process(pending[k]));
       }
     } else {
-      std::optional<ThreadPool> local_pool;
-      if (config.pairs.pool_threads > 1) {
-        local_pool.emplace(config.pairs.pool_threads);
-      }
-      ThreadPool& pool = local_pool ? *local_pool : global_pool();
       std::mutex mu;
       std::condition_variable cv;
       std::deque<ChunkOutcome> done_queue;
 
-      const std::size_t workers =
-          config.pairs.pool_threads > 1 ? config.pairs.pool_threads
-                                        : pool.size();
-      const TileScheduler sched(launch_total, /*tile_items=*/1, workers);
+      const TileScheduler sched(launch_total, /*tile_items=*/1, exec.workers);
       // The schedule blocks until every chunk is processed, while commits
       // must keep flowing on this (the driver) thread — run it on a
       // sidecar thread and collect outcomes as they land. process() already
@@ -613,7 +606,7 @@ ScanReport run_resumable_scan(std::span<const mp::BigInt> moduli,
       std::thread orchestrator([&] {
         if (dtr.rec != nullptr) dtr.rec->set_thread_name("orchestrator");
         sched.run(
-            &pool,
+            exec.pool,
             [&](std::size_t, const TileRange& t) {
               for (std::size_t k = t.lo; k < t.hi; ++k) {
                 ChunkOutcome outcome = process(pending[k]);

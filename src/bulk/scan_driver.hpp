@@ -78,7 +78,7 @@ struct QuarantinedChunk {
 };
 
 struct ScanConfig {
-  AllPairsConfig pairs;  ///< engine / variant / group size / threads
+  AllPairsConfig pairs;  ///< backend / variant / group size / threads
 
   /// Checkpoint journal path; empty runs the scan without durability.
   std::filesystem::path checkpoint;
@@ -101,7 +101,7 @@ struct ScanConfig {
   std::size_t progress_every = 1;  ///< emit a record every N chunk commits
 
   /// Observability/fault-injection hook, called at the start of every chunk
-  /// attempt (attempt 0 = configured engine, 1 = scalar retry). Exceptions
+  /// attempt (attempt 0 = configured backend, 1 = scalar retry). Exceptions
   /// it throws flow through the retry/quarantine path exactly like engine
   /// failures — the tests use this to exercise both.
   std::function<void(std::size_t chunk_index, int attempt)> chunk_hook;

@@ -31,10 +31,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 
-namespace bulkgcd {
-class ThreadPool;
-}
+#include "core/thread_pool.hpp"
 
 namespace bulkgcd::obs {
 class TraceRecorder;
@@ -114,6 +113,28 @@ class TileScheduler {
   std::size_t tile_items_ = 1;
   std::size_t tiles_ = 0;
   std::size_t workers_ = 1;
+};
+
+/// The one thread-placement contract of the sharded sweeps (all_pairs_gcd,
+/// probe_incremental, run_resumable_scan), from AllPairsConfig::pool_threads:
+/// 1 = inline on the caller (pool stays null, the scheduler runs serial),
+/// 0 = one worker per global-pool thread, N = a private pool of N workers.
+struct SweepExecutor {
+  std::optional<ThreadPool> local_pool;
+  ThreadPool* pool = nullptr;
+  std::size_t workers = 1;
+
+  explicit SweepExecutor(std::size_t pool_threads) {
+    if (pool_threads == 1) return;
+    if (pool_threads == 0) {
+      pool = &global_pool();
+      workers = pool->size();
+    } else {
+      local_pool.emplace(pool_threads);
+      pool = &*local_pool;
+      workers = pool_threads;
+    }
+  }
 };
 
 }  // namespace bulkgcd::bulk

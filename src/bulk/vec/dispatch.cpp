@@ -74,41 +74,24 @@ make_vec_batch<std::uint64_t>(std::size_t, std::size_t, std::size_t, VecIsa);
 void resolve_backend(AllPairsConfig& config) {
   if (const char* force = std::getenv("BULKGCD_FORCE_BACKEND")) {
     const std::string_view v{force};
-    if (v == "auto" || v.empty()) {
-      config.backend = BulkBackend::kAuto;
-    } else if (v == "lockstep") {
-      config.backend = BulkBackend::kLockstep;
-    } else if (v == "staged") {
-      config.backend = BulkBackend::kStaged;
-    } else if (v == "vector") {
-      config.backend = BulkBackend::kVector;
-      config.vec_isa = VecIsa::kAuto;
-    } else if (v == "vector-portable") {
+    if (v == "vector-portable") {
       config.backend = BulkBackend::kVector;
       config.vec_isa = VecIsa::kPortable;
+    } else if (const auto b = parse_backend(v.empty() ? "auto" : v)) {
+      config.backend = *b;
+      if (*b == BulkBackend::kVector) config.vec_isa = VecIsa::kAuto;
     } else {
       throw std::invalid_argument(
           std::string("BULKGCD_FORCE_BACKEND: unknown value \"") +
           std::string(v) +
-          "\" (want auto|lockstep|staged|vector|vector-portable)");
+          "\" (want auto|scalar|lockstep|staged|vector|vector-portable)");
     }
-  }
-  if (config.engine != EngineKind::kSimt) {
-    // The scalar engine ignores backends; normalize so callers can branch on
-    // the resolved value without re-checking the engine kind.
-    config.backend = BulkBackend::kLockstep;
-    return;
   }
   if (config.backend == BulkBackend::kAuto) {
-    if (!config.staged) {
-      config.backend = BulkBackend::kLockstep;
-    } else if (detect_vec_isa() == VecIsa::kAvx2) {
-      // Auto only opts into the vector backend when a real SIMD leg runs;
-      // the portable leg exists for coverage, not speed.
-      config.backend = BulkBackend::kVector;
-    } else {
-      config.backend = BulkBackend::kStaged;
-    }
+    // Auto only opts into the vector backend when a real SIMD leg runs;
+    // the portable leg exists for coverage, not speed.
+    config.backend = detect_vec_isa() == VecIsa::kAvx2 ? BulkBackend::kVector
+                                                       : BulkBackend::kStaged;
   }
   if (config.backend == BulkBackend::kVector) {
     if (config.vec_isa == VecIsa::kAuto) config.vec_isa = detect_vec_isa();

@@ -52,7 +52,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "rsa/barrett.hpp"
 #include "rsa/corpus.hpp"
 #include "rsa/keystore.hpp"
 #include "rsa/modmath.hpp"

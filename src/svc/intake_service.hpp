@@ -56,7 +56,7 @@ enum class Admission {
 };
 
 struct IntakeServiceConfig {
-  /// Engine/backend/threads for the probe element. pool_threads follows the
+  /// Backend/threads for the probe element. pool_threads follows the
   /// all_pairs_gcd contract (1 = inline on the probe worker, 0 = global
   /// pool, N = private pool). metrics (if set) also feeds the intake_*
   /// counters and queue-depth gauges.

@@ -1,6 +1,6 @@
 // All-pairs scheduler tests: the Section-VI block decomposition covers every
-// pair exactly once and recovers exactly the planted weak pairs, on both
-// engines and several group sizes.
+// pair exactly once and recovers exactly the planted weak pairs, on every
+// backend and several group sizes.
 #include "bulk/allpairs.hpp"
 
 #include <gtest/gtest.h>
@@ -42,17 +42,18 @@ void expect_hits_match_ground_truth(const AllPairsResult& result,
 }
 
 struct AllPairsCase {
-  EngineKind engine;
+  BulkBackend backend;
   Variant variant;
   std::size_t group_size;
   bool early;
 };
 
-// Names each case after its fields, not its padding (param_print.hpp).
+// Names each case after its fields, not its padding (param_print.hpp). The
+// kAuto/kScalar ordinals (1/0) keep the names the cases have always had.
 void PrintTo(const AllPairsCase& value, std::ostream* os) {
   test::print_with_zeroed_padding(
       value, os, [](AllPairsCase& z, const AllPairsCase& c) {
-        z.engine = c.engine;
+        z.backend = c.backend;
         z.variant = c.variant;
         z.group_size = c.group_size;
         z.early = c.early;
@@ -62,10 +63,10 @@ void PrintTo(const AllPairsCase& value, std::ostream* os) {
 class AllPairsTest : public ::testing::TestWithParam<AllPairsCase> {};
 
 TEST_P(AllPairsTest, FindsExactlyThePlantedWeakPairs) {
-  const auto [engine, variant, group_size, early] = GetParam();
+  const auto [backend, variant, group_size, early] = GetParam();
   const WeakCorpus corpus = test_corpus(26, 4, 1234);
   AllPairsConfig config;
-  config.engine = engine;
+  config.backend = backend;
   config.variant = variant;
   config.group_size = group_size;
   config.early_terminate = early;
@@ -78,14 +79,14 @@ TEST_P(AllPairsTest, FindsExactlyThePlantedWeakPairs) {
 INSTANTIATE_TEST_SUITE_P(
     EnginesVariantsGroups, AllPairsTest,
     ::testing::Values(
-        AllPairsCase{EngineKind::kSimt, Variant::kApproximate, 8, true},
-        AllPairsCase{EngineKind::kSimt, Variant::kApproximate, 5, true},
-        AllPairsCase{EngineKind::kSimt, Variant::kApproximate, 32, false},
-        AllPairsCase{EngineKind::kSimt, Variant::kFastBinary, 8, true},
-        AllPairsCase{EngineKind::kSimt, Variant::kBinary, 8, true},
-        AllPairsCase{EngineKind::kScalar, Variant::kApproximate, 8, true},
-        AllPairsCase{EngineKind::kScalar, Variant::kOriginal, 8, true},
-        AllPairsCase{EngineKind::kScalar, Variant::kFast, 8, false}));
+        AllPairsCase{BulkBackend::kAuto, Variant::kApproximate, 8, true},
+        AllPairsCase{BulkBackend::kAuto, Variant::kApproximate, 5, true},
+        AllPairsCase{BulkBackend::kAuto, Variant::kApproximate, 32, false},
+        AllPairsCase{BulkBackend::kAuto, Variant::kFastBinary, 8, true},
+        AllPairsCase{BulkBackend::kAuto, Variant::kBinary, 8, true},
+        AllPairsCase{BulkBackend::kScalar, Variant::kApproximate, 8, true},
+        AllPairsCase{BulkBackend::kScalar, Variant::kOriginal, 8, true},
+        AllPairsCase{BulkBackend::kScalar, Variant::kFast, 8, false}));
 
 TEST(AllPairsTest, GroupSizeLargerThanCorpusWorks) {
   const WeakCorpus corpus = test_corpus(6, 1, 5);
@@ -153,14 +154,14 @@ TEST(AllPairsTest, MixedSizeCorpusRecoversSmallPairSharedFactor) {
       rsa::random_prime(rng, 256) * rsa::random_prime(rng, 256),  // bystander
       rsa::random_prime(rng, 256) * rsa::random_prime(rng, 256),  // bystander
   };
-  for (const auto engine : {EngineKind::kSimt, EngineKind::kScalar}) {
+  for (const auto backend : {BulkBackend::kAuto, BulkBackend::kScalar}) {
     AllPairsConfig config;
-    config.engine = engine;
+    config.backend = backend;
     config.early_terminate = true;
     config.group_size = 4;
     config.warp_width = 8;
     const AllPairsResult result = all_pairs_gcd(moduli, config);
-    ASSERT_EQ(result.hits.size(), 1u) << "engine " << int(engine);
+    ASSERT_EQ(result.hits.size(), 1u) << to_string(backend);
     EXPECT_EQ(result.hits[0].i, 0u);
     EXPECT_EQ(result.hits[0].j, 1u);
     EXPECT_EQ(result.hits[0].factor, shared);
@@ -179,12 +180,12 @@ TEST(IncrementalProbeTest, MixedSizeCorpusFindsSmallCandidateHit) {
       rsa::random_prime(rng, 256) * rsa::random_prime(rng, 256),  // big clean
   };
   const BigInt candidate = shared * rsa::random_prime(rng, 128);
-  for (const auto engine : {EngineKind::kSimt, EngineKind::kScalar}) {
+  for (const auto backend : {BulkBackend::kAuto, BulkBackend::kScalar}) {
     AllPairsConfig config;
-    config.engine = engine;
+    config.backend = backend;
     config.group_size = 2;
     const auto hits = probe_incremental(candidate, corpus, config);
-    ASSERT_EQ(hits.size(), 1u) << "engine " << int(engine);
+    ASSERT_EQ(hits.size(), 1u) << to_string(backend);
     EXPECT_EQ(hits[0].corpus_index, 0u);
     EXPECT_EQ(hits[0].factor, shared);
   }
@@ -222,12 +223,12 @@ TEST(IncrementalProbeTest, FindsSharedFactorWithCorpusMember) {
   // Candidate shares a prime with corpus modulus #5: synthesize it by
   // re-multiplying one of its factors. Recover the factor by batch-gcd-free
   // construction: use the corpus member itself as the candidate first.
-  for (const auto engine : {EngineKind::kSimt, EngineKind::kScalar}) {
+  for (const auto backend : {BulkBackend::kAuto, BulkBackend::kScalar}) {
     AllPairsConfig config;
-    config.engine = engine;
+    config.backend = backend;
     config.group_size = 4;
     const auto hits = probe_incremental(corpus.moduli[5], corpus.moduli, config);
-    ASSERT_EQ(hits.size(), 1u) << "engine " << int(engine);
+    ASSERT_EQ(hits.size(), 1u) << to_string(backend);
     EXPECT_EQ(hits[0].corpus_index, 5u);
     EXPECT_EQ(hits[0].factor, corpus.moduli[5]);  // gcd(n, n) = n
   }
@@ -311,7 +312,6 @@ TEST(IncrementalProbeTest, DifferentialAcrossBackendsAndThreadCounts) {
   const BigInt candidate = shared * rsa::random_prime(rng, 128);
 
   AllPairsConfig base;
-  base.engine = EngineKind::kSimt;
   base.backend = BulkBackend::kLockstep;
   base.group_size = 3;  // several blocks, so thread partitioning matters
   base.warp_width = 4;
@@ -324,15 +324,15 @@ TEST(IncrementalProbeTest, DifferentialAcrossBackendsAndThreadCounts) {
   EXPECT_EQ(ref_hits[0].factor, shared);
   EXPECT_EQ(ref_stats.pairs_tested, corpus.size());
 
-  for (const auto backend :
-       {BulkBackend::kLockstep, BulkBackend::kStaged, BulkBackend::kVector}) {
+  for (const auto backend : {BulkBackend::kScalar, BulkBackend::kLockstep,
+                             BulkBackend::kStaged, BulkBackend::kVector}) {
     for (const std::size_t threads : {std::size_t(1), std::size_t(2)}) {
       AllPairsConfig config = base;
       config.backend = backend;
       config.pool_threads = threads;
       ProbeStats stats;
       const auto hits = probe_incremental(candidate, corpus, config, &stats);
-      const std::string label = "backend " + std::to_string(int(backend)) +
+      const std::string label = std::string("backend ") + to_string(backend) +
                                 " threads " + std::to_string(threads);
       ASSERT_EQ(hits.size(), ref_hits.size()) << label;
       for (std::size_t k = 0; k < hits.size(); ++k) {
@@ -341,7 +341,13 @@ TEST(IncrementalProbeTest, DifferentialAcrossBackendsAndThreadCounts) {
         EXPECT_EQ(hits[k].full_modulus, ref_hits[k].full_modulus) << label;
       }
       EXPECT_EQ(stats.pairs_tested, ref_stats.pairs_tested) << label;
-      EXPECT_EQ(stats.simt, ref_stats.simt) << label;
+      if (backend == BulkBackend::kScalar) {
+        EXPECT_GT(stats.scalar.iterations, 0u) << label;
+        EXPECT_EQ(stats.simt, SimtStats{}) << label;
+      } else {
+        EXPECT_EQ(stats.simt, ref_stats.simt) << label;
+        EXPECT_EQ(stats.scalar, gcd::GcdStats{}) << label;
+      }
     }
   }
 }
@@ -368,10 +374,9 @@ TEST(IncrementalProbeTest, StagedCorpusOverloadMatchesSpanOverload) {
   staged.append(corpus[5]);
   const BigInt candidate = shared * rsa::random_prime(rng, 64);
 
-  for (const auto backend :
-       {BulkBackend::kLockstep, BulkBackend::kStaged, BulkBackend::kVector}) {
+  for (const auto backend : {BulkBackend::kScalar, BulkBackend::kLockstep,
+                             BulkBackend::kStaged, BulkBackend::kVector}) {
     AllPairsConfig config;
-    config.engine = EngineKind::kSimt;
     config.backend = backend;
     config.group_size = 3;
     config.warp_width = 4;
@@ -381,7 +386,7 @@ TEST(IncrementalProbeTest, StagedCorpusOverloadMatchesSpanOverload) {
     ProbeStats staged_stats;
     const auto staged_hits =
         probe_incremental(candidate, staged, config, &staged_stats);
-    const std::string label = "backend " + std::to_string(int(backend));
+    const std::string label = std::string("backend ") + to_string(backend);
     ASSERT_EQ(staged_hits.size(), span_hits.size()) << label;
     for (std::size_t k = 0; k < span_hits.size(); ++k) {
       EXPECT_EQ(staged_hits[k].corpus_index, span_hits[k].corpus_index)
@@ -392,6 +397,7 @@ TEST(IncrementalProbeTest, StagedCorpusOverloadMatchesSpanOverload) {
     }
     EXPECT_EQ(staged_stats.pairs_tested, span_stats.pairs_tested) << label;
     EXPECT_EQ(staged_stats.simt, span_stats.simt) << label;
+    EXPECT_EQ(staged_stats.scalar, span_stats.scalar) << label;
     ASSERT_EQ(span_hits.size(), 2u) << label;
     EXPECT_EQ(span_hits[0].corpus_index, 0u) << label;
     EXPECT_EQ(span_hits[1].corpus_index, 5u) << label;
@@ -403,7 +409,7 @@ TEST(IncrementalProbeTest, ScalarDifferentialAcrossThreadCounts) {
   const WeakCorpus corpus = test_corpus(17, 2, 16);  // not a block multiple
   const auto& weak = corpus.weak[0];
   AllPairsConfig config;
-  config.engine = EngineKind::kScalar;
+  config.backend = BulkBackend::kScalar;
   config.group_size = 4;
   config.pool_threads = 1;
   ProbeStats ref_stats;
@@ -433,10 +439,10 @@ TEST(IncrementalProbeTest, StatsFoldIntoRegistryCounters) {
   // telemetry silently undercounted all streamed work. Counter totals must
   // exactly equal the returned ProbeStats, on both engines.
   const WeakCorpus corpus = test_corpus(13, 1, 17);
-  for (const auto engine : {EngineKind::kSimt, EngineKind::kScalar}) {
+  for (const auto backend : {BulkBackend::kAuto, BulkBackend::kScalar}) {
     obs::MetricsRegistry registry;
     AllPairsConfig config;
-    config.engine = engine;
+    config.backend = backend;
     config.group_size = 4;
     config.pool_threads = 2;
     config.metrics = &registry;
@@ -445,7 +451,7 @@ TEST(IncrementalProbeTest, StatsFoldIntoRegistryCounters) {
     const auto counter = [&](std::string_view name) {
       return registry.counter(name)->value();
     };
-    if (engine == EngineKind::kSimt) {
+    if (backend != BulkBackend::kScalar) {
       EXPECT_GT(stats.simt.lane_iterations, 0u);
       EXPECT_EQ(counter("simt_rounds_total"), stats.simt.rounds);
       EXPECT_EQ(counter("simt_warp_rounds_total"), stats.simt.warp_rounds);

@@ -82,10 +82,10 @@ TEST(IntegrationTest, AllVariantsAgreeOnTheVictimSet) {
   for (const gcd::Variant variant : gcd::kAllVariants) {
     bulk::AllPairsConfig config;
     config.variant = variant;
-    config.engine = (variant == gcd::Variant::kOriginal ||
-                     variant == gcd::Variant::kFast)
-                        ? bulk::EngineKind::kScalar
-                        : bulk::EngineKind::kSimt;
+    config.backend = (variant == gcd::Variant::kOriginal ||
+                      variant == gcd::Variant::kFast)
+                         ? bulk::BulkBackend::kScalar
+                         : bulk::BulkBackend::kAuto;
     const auto result = bulk::all_pairs_gcd(corpus.moduli, config);
     if (reference.empty()) {
       reference = result.hits;

@@ -1,79 +1,17 @@
-// Barrett reduction and the binary (division-free) modular inverse:
-// cross-checked against GMP, the divmod path, and Montgomery.
+// The binary (division-free) modular inverse, cross-checked against the
+// divmod path.
 #include <gtest/gtest.h>
 
 #include "gmp_oracle.hpp"
-#include "rsa/barrett.hpp"
 #include "rsa/modmath.hpp"
-#include "rsa/montgomery.hpp"
 
 namespace bulkgcd::rsa {
 namespace {
 
 using bulkgcd::Xoshiro256;
-using test::Mpz;
 using test::random_odd;
 using test::random_value;
-using test::to_mpz;
 using mp::BigInt;
-
-TEST(BarrettTest, RejectsZeroModulus) {
-  EXPECT_THROW(BarrettContext{BigInt()}, std::invalid_argument);
-}
-
-TEST(BarrettTest, ReduceMatchesDivision) {
-  Xoshiro256 rng(191);
-  for (int trial = 0; trial < 200; ++trial) {
-    BigInt n = random_value<std::uint32_t>(rng, 2 + rng.below(300));
-    if (n.is_zero()) n = BigInt(7);
-    const BarrettContext ctx(n);
-    // Any x < B^{2k}: products of two reduced values and beyond.
-    const BigInt x =
-        random_value<std::uint32_t>(rng, 1 + rng.below(2 * 32 * n.size()));
-    EXPECT_EQ(ctx.reduce(x), x % n) << "n=" << n.to_hex() << " x=" << x.to_hex();
-  }
-}
-
-TEST(BarrettTest, WorksForEvenModuli) {
-  // The capability Montgomery lacks.
-  Xoshiro256 rng(192);
-  for (int trial = 0; trial < 50; ++trial) {
-    BigInt n = random_value<std::uint32_t>(rng, 2 + rng.below(200)) << 1;
-    if (n.is_zero()) n = BigInt(8);
-    const BarrettContext ctx(n);
-    const BigInt a = random_value<std::uint32_t>(rng, 150) % n;
-    const BigInt b = random_value<std::uint32_t>(rng, 150) % n;
-    EXPECT_EQ(ctx.mul(a, b), (a * b) % n);
-  }
-}
-
-TEST(BarrettTest, PowAgreesWithGmpAndMontgomery) {
-  Xoshiro256 rng(193);
-  for (int trial = 0; trial < 50; ++trial) {
-    const BigInt n = random_odd<std::uint32_t>(rng, 3 + rng.below(250));
-    if (n <= BigInt(1)) continue;
-    const BarrettContext barrett(n);
-    const MontgomeryContext montgomery(n);
-    const BigInt base = random_value<std::uint32_t>(rng, 1 + rng.below(300));
-    const BigInt exp = random_value<std::uint32_t>(rng, 1 + rng.below(100));
-    const BigInt got = barrett.pow(base, exp);
-    EXPECT_EQ(got, montgomery.pow(base, exp));
-    Mpz expected;
-    mpz_powm(expected.get(), to_mpz(base).get(), to_mpz(exp).get(),
-             to_mpz(n).get());
-    EXPECT_EQ(to_mpz(got), expected);
-  }
-}
-
-TEST(BarrettTest, EdgeCases) {
-  const BarrettContext one(BigInt(1));
-  EXPECT_EQ(one.reduce(BigInt(12345)), BigInt());
-  EXPECT_EQ(one.pow(BigInt(3), BigInt(4)), BigInt());
-  const BarrettContext small(BigInt(2));
-  EXPECT_EQ(small.reduce(BigInt(9)), BigInt(1));
-  const BarrettContext big(BigInt(97));
-  EXPECT_EQ(big.pow(BigInt(3), BigInt(96)), BigInt(1));  // Fermat
-}
 
 TEST(BinaryModInvTest, MatchesDivisionBasedInverse) {
   Xoshiro256 rng(194);

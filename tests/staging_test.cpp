@@ -417,13 +417,12 @@ TEST(StagingDifferentialTest, AllPairsStagedMatchesUnstaged) {
   const std::vector<BigInt> moduli = mixed_corpus(777);
   for (const std::size_t group : {std::size_t(3), std::size_t(64)}) {
     AllPairsConfig config;
-    config.engine = EngineKind::kSimt;
     config.group_size = group;
     config.warp_width = 8;
     config.early_terminate = true;
-    config.staged = true;
+    config.backend = BulkBackend::kStaged;
     const AllPairsResult staged = all_pairs_gcd(moduli, config);
-    config.staged = false;
+    config.backend = BulkBackend::kLockstep;
     const AllPairsResult unstaged = all_pairs_gcd(moduli, config);
     expect_same_sweeps(staged, unstaged, moduli);
     // The corpus plants 2 proper pairs + 1 duplicate.
@@ -448,9 +447,9 @@ TEST(StagingDifferentialTest, ProbeIncrementalStagedMatchesUnstaged) {
   AllPairsConfig config;
   config.group_size = 2;
   config.warp_width = 8;
-  config.staged = true;
+  config.backend = BulkBackend::kStaged;
   const auto staged = probe_incremental(candidate, corpus, config);
-  config.staged = false;
+  config.backend = BulkBackend::kLockstep;
   const auto unstaged = probe_incremental(candidate, corpus, config);
 
   ASSERT_EQ(staged.size(), unstaged.size());
@@ -474,9 +473,9 @@ TEST(StagingDifferentialTest, ResumableScanStagedMatchesUnstaged) {
   config.pairs.group_size = 3;
   config.pairs.warp_width = 8;
   config.chunk_blocks = 2;
-  config.pairs.staged = true;
+  config.pairs.backend = BulkBackend::kStaged;
   const ScanReport staged = run_resumable_scan(moduli, config);
-  config.pairs.staged = false;
+  config.pairs.backend = BulkBackend::kLockstep;
   const ScanReport unstaged = run_resumable_scan(moduli, config);
   ASSERT_TRUE(staged.complete);
   ASSERT_TRUE(unstaged.complete);

@@ -317,7 +317,8 @@ TEST(IntakeServiceTest, StreamedCorpusMatchesOneShotSweepBitForBit) {
   const auto oneshot = bulk::all_pairs_gcd(corpus.moduli).hits;
   ASSERT_EQ(oneshot.size(), 3u);
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
+  for (const auto backend : {bulk::BulkBackend::kScalar,
+                             bulk::BulkBackend::kLockstep,
                              bulk::BulkBackend::kStaged,
                              bulk::BulkBackend::kVector}) {
     for (const std::size_t threads : {std::size_t(1), std::size_t(2)}) {
@@ -634,7 +635,8 @@ TEST(IntakeServiceTest, ConcurrentSubmittersCoverEveryPairExactlyOnce) {
   ASSERT_EQ(oneshot.size(), 4u);
   const auto expected = value_hits(oneshot, corpus.moduli);
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
+  for (const auto backend : {bulk::BulkBackend::kScalar,
+                             bulk::BulkBackend::kLockstep,
                              bulk::BulkBackend::kStaged,
                              bulk::BulkBackend::kVector}) {
     IntakeService service({}, probe_config(backend, 1));
@@ -703,12 +705,11 @@ TEST(ArrivalJournalTest, RestartReplaysCorpusAndHitsBitForBit) {
   ASSERT_EQ(oneshot.size(), 3u);
   const std::size_t half = corpus.moduli.size() / 2;
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
+  for (const auto backend : {bulk::BulkBackend::kScalar,
+                             bulk::BulkBackend::kLockstep,
                              bulk::BulkBackend::kStaged,
                              bulk::BulkBackend::kVector}) {
-    TempJournal journal(backend == bulk::BulkBackend::kLockstep ? "l"
-                        : backend == bulk::BulkBackend::kStaged ? "s"
-                                                                : "v");
+    TempJournal journal(bulk::to_string(backend));
     std::vector<BigInt> corpus_before;
     std::vector<bulk::FactorHit> hits_before;
     {
@@ -882,7 +883,8 @@ TEST(IntakeServiceTest, MixedSizeArrivalsRestageAndMatchOneShot) {
   ASSERT_EQ(oneshot.size(), 1u);
   EXPECT_EQ(oneshot[0].factor, shared);
 
-  for (const auto backend : {bulk::BulkBackend::kLockstep,
+  for (const auto backend : {bulk::BulkBackend::kScalar,
+                             bulk::BulkBackend::kLockstep,
                              bulk::BulkBackend::kStaged,
                              bulk::BulkBackend::kVector}) {
     IntakeServiceConfig config = probe_config(backend, 1);

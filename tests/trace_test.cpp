@@ -291,15 +291,14 @@ std::map<std::string, std::uint64_t> nontrace_counters(
 TEST(TraceSweepTest, ResultsBitIdenticalTracingOnOffAcrossBackends) {
   const rsa::WeakCorpus corpus = trace_corpus();
   for (const bulk::BulkBackend backend :
-       {bulk::BulkBackend::kLockstep, bulk::BulkBackend::kStaged,
-        bulk::BulkBackend::kVector}) {
+       {bulk::BulkBackend::kScalar, bulk::BulkBackend::kLockstep,
+        bulk::BulkBackend::kStaged, bulk::BulkBackend::kVector}) {
     for (const std::size_t workers : {1u, 4u}) {
       SCOPED_TRACE(std::string("backend=") + to_string(backend) +
                    " workers=" + std::to_string(workers));
       bulk::AllPairsConfig off_cfg;
       off_cfg.group_size = 16;
       off_cfg.backend = backend;
-      off_cfg.staged = backend != bulk::BulkBackend::kLockstep;
       off_cfg.pool_threads = workers;
       MetricsRegistry off_registry;
       off_cfg.metrics = &off_registry;
